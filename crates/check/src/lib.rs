@@ -15,14 +15,14 @@ pub use orc_util::chk::{
     explore, spawn, Acc, CheckMode, Config, Failure, JoinHandle, Report, TraceEv,
 };
 
-/// Silences the orc-stats telemetry for the current process.
+/// Silences the optional orc-stats telemetry for the current process.
 ///
-/// Telemetry counters are sharded per thread, but the `enabled()`
-/// kill-switch latch and the peak-unreclaimed watermark are shared words;
-/// with recording on, every scheme operation would drag extra
-/// shared-memory steps into each trace. Checked tests call this first so
-/// traces stay protocol-only. Latches [`orc_util::stats::enabled`], so it
-/// must run before the first scheme operation of the process.
+/// The ledger counters bypass the checker's atomics facade, so they never
+/// appear in a trace; what `ORC_STATS=0` removes is the gated rest — retire
+/// stamps and the delay histogram (clock reads), the batch histogram and
+/// the peak watermark — keeping explored executions protocol-only and
+/// cheap. Latches [`orc_util::stats::enabled`], so it must run before the
+/// first scheme operation of the process.
 pub fn quiet_stats() {
     std::env::set_var("ORC_STATS", "0");
     // Latch the kill-switch now, outside any exploration, so the latch

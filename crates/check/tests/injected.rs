@@ -12,7 +12,9 @@
 
 use check::{explore, quiet_stats, spawn, Config, Failure, Report};
 use orc_util::atomics::{spin_hint, AtomicU64, AtomicUsize, Ordering};
+use orc_util::registry;
 use reclaim::header::{alloc_tracked, destroy_tracked};
+use reclaim::policy::RetireLedger;
 use reclaim::SmrHeader;
 use std::sync::Arc;
 
@@ -20,15 +22,19 @@ use std::sync::Arc;
 /// correct protocol; `!validate` injects the bug.
 fn hp_round(validate: bool) -> Result<Report, Box<Failure>> {
     quiet_stats();
+    // One ledger for every explored execution: its counters are
+    // statistics outside the checked protocol.
+    let ledger = Arc::new(RetireLedger::new());
     explore(Config::from_env(), move || {
-        let first = alloc_tracked(AtomicU64::new(1), 0) as usize;
+        let first = alloc_tracked(&ledger, registry::tid(), AtomicU64::new(1), 0) as usize;
         let shared = Arc::new(AtomicUsize::new(first));
         let hazard = Arc::new(AtomicUsize::new(0));
 
         let writer = {
-            let (shared, hazard) = (shared.clone(), hazard.clone());
+            let (shared, hazard, ledger) = (shared.clone(), hazard.clone(), ledger.clone());
             spawn(move || {
-                let fresh = alloc_tracked(AtomicU64::new(2), 0) as usize;
+                let tid = registry::tid();
+                let fresh = alloc_tracked(&ledger, tid, AtomicU64::new(2), 0) as usize;
                 let old = shared.swap(fresh, Ordering::SeqCst);
                 // Wait out any reader that published protection in time.
                 while hazard.load(Ordering::SeqCst) == old {
@@ -38,7 +44,9 @@ fn hp_round(validate: bool) -> Result<Report, Box<Failure>> {
                 // hazard no longer covers it; only this thread frees it.
                 // (If a reader still holds it, that is exactly the bug the
                 // shadow heap exists to catch.)
-                unsafe { destroy_tracked(SmrHeader::of_value(old as *mut AtomicU64)) };
+                unsafe {
+                    destroy_tracked(&ledger, tid, SmrHeader::of_value(old as *mut AtomicU64))
+                };
             })
         };
 
@@ -63,7 +71,13 @@ fn hp_round(validate: bool) -> Result<Report, Box<Failure>> {
         let last = shared.load(Ordering::SeqCst);
         // SAFETY: the writer joined; `last` is the surviving allocation and
         // nothing references it anymore.
-        unsafe { destroy_tracked(SmrHeader::of_value(last as *mut AtomicU64)) };
+        unsafe {
+            destroy_tracked(
+                &ledger,
+                registry::tid(),
+                SmrHeader::of_value(last as *mut AtomicU64),
+            )
+        };
     })
 }
 

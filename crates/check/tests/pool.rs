@@ -19,8 +19,9 @@
 
 use check::{explore, quiet_stats, spawn, Config, Failure, Report};
 use orc_util::atomics::{spin_hint, AtomicU64, AtomicUsize, Ordering};
-use orc_util::pool;
+use orc_util::{pool, registry};
 use reclaim::header::{alloc_tracked, destroy_tracked};
+use reclaim::policy::RetireLedger;
 use reclaim::SmrHeader;
 use std::sync::Arc;
 
@@ -35,8 +36,13 @@ struct Slot64 {
 /// `validate` selects the correct protocol; `!validate` plants the bug.
 fn hp_round_pooled(validate: bool) -> Result<Report, Box<Failure>> {
     quiet_stats();
+    // One ledger for every explored execution: its counters are
+    // statistics outside the checked protocol.
+    let ledger = Arc::new(RetireLedger::new());
     explore(Config::from_env(), move || {
         let first = alloc_tracked(
+            &ledger,
+            registry::tid(),
             Slot64 {
                 v: AtomicU64::new(1),
             },
@@ -46,9 +52,12 @@ fn hp_round_pooled(validate: bool) -> Result<Report, Box<Failure>> {
         let hazard = Arc::new(AtomicUsize::new(0));
 
         let writer = {
-            let (shared, hazard) = (shared.clone(), hazard.clone());
+            let (shared, hazard, ledger) = (shared.clone(), hazard.clone(), ledger.clone());
             spawn(move || {
+                let tid = registry::tid();
                 let fresh = alloc_tracked(
+                    &ledger,
+                    tid,
                     Slot64 {
                         v: AtomicU64::new(2),
                     },
@@ -62,7 +71,7 @@ fn hp_round_pooled(validate: bool) -> Result<Report, Box<Failure>> {
                 // hazard no longer covers it; only this thread frees it.
                 // (A reader still holding it is exactly the bug the
                 // shadow heap must catch.)
-                unsafe { destroy_tracked(SmrHeader::of_value(old as *mut Slot64)) };
+                unsafe { destroy_tracked(&ledger, tid, SmrHeader::of_value(old as *mut Slot64)) };
             })
         };
 
@@ -85,7 +94,13 @@ fn hp_round_pooled(validate: bool) -> Result<Report, Box<Failure>> {
         let last = shared.load(Ordering::SeqCst);
         // SAFETY: the writer joined; `last` is the surviving allocation
         // and nothing references it anymore.
-        unsafe { destroy_tracked(SmrHeader::of_value(last as *mut Slot64)) };
+        unsafe {
+            destroy_tracked(
+                &ledger,
+                registry::tid(),
+                SmrHeader::of_value(last as *mut Slot64),
+            )
+        };
     })
 }
 

@@ -406,9 +406,9 @@ mod tests {
         }
         head.store(&prev);
         drop(prev);
-        let before = orc_util::track::global().live_objects();
+        let before = crate::thread_stats().live_objects();
         drop(head); // must not overflow the stack
-        let after = orc_util::track::global().live_objects();
+        let after = crate::thread_stats().live_objects();
         assert!(
             before - after >= n as i64 - 8,
             "cascade freed only {} of {n}",

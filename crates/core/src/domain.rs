@@ -25,7 +25,7 @@ use crate::word::{is_zero_retired, is_zero_unclaimed, BRETIRED, SEQ};
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
-use orc_util::{chk_hooks, registry, trace_event_at, track, CachePadded};
+use orc_util::{chk_hooks, registry, trace_event_at, CachePadded};
 use std::cell::UnsafeCell;
 
 /// Hazard slots per thread (the paper's `maxHPs` capacity; the live
@@ -74,10 +74,10 @@ pub struct Domain {
     pub(crate) tl: Box<[CachePadded<TlInfo>]>,
     /// Watermark of the highest slot index ever used, bounding scans.
     pub(crate) max_hps: AtomicUsize,
-    /// Retired-but-not-deleted high-water metrics.
+    /// Objects claimed-retired but not yet deleted.
     retired_now: AtomicU64,
-    retired_max: AtomicU64,
-    /// Reclamation telemetry (orc-stats); see [`Domain::stats`].
+    /// The domain's ledger and telemetry (orc-stats); see
+    /// [`Domain::stats`].
     stats: SchemeStats,
 }
 
@@ -95,7 +95,6 @@ impl Domain {
                 .collect(),
             max_hps: AtomicUsize::new(1),
             retired_now: AtomicU64::new(0),
-            retired_max: AtomicU64::new(0),
             stats: SchemeStats::new(),
         }
     }
@@ -106,6 +105,12 @@ impl Domain {
     }
 
     // ---- accounting ---------------------------------------------------
+
+    /// Counts one `make_orc` allocation of `bytes` slot bytes.
+    #[inline]
+    pub(crate) fn note_alloc(&self, tid: usize, bytes: usize) {
+        self.stats.on_alloc(tid, bytes);
+    }
 
     #[inline]
     pub(crate) fn note_retired(&self, tid: usize, h: *mut OrcHeader) {
@@ -119,13 +124,11 @@ impl Domain {
             tid,
             EventKind::BRetired,
             h as usize,
-            trace::next_retire_seq()
+            trace::next_retire_seq(tid)
         );
         let now = self.retired_now.fetch_add(1, Ordering::Relaxed) + 1;
-        self.retired_max.fetch_max(now, Ordering::Relaxed);
         self.stats.bump(tid, Event::Retire);
         self.stats.note_unreclaimed(now);
-        track::global().on_retire();
     }
 
     /// A claim relinquished without deletion (`clearBitRetired` found the
@@ -142,14 +145,14 @@ impl Domain {
         trace_event_at!(tid, EventKind::Unretire, h as usize);
         self.retired_now.fetch_sub(1, Ordering::Relaxed);
         self.stats.bump(tid, Event::Reclaim);
-        track::global().on_reclaim();
     }
 
+    /// A claimed object was deleted, freeing `bytes` slot bytes.
     #[inline]
-    fn note_destroyed(&self, tid: usize) {
+    fn note_destroyed(&self, tid: usize, bytes: usize) {
+        self.stats.on_free(tid, bytes);
         self.retired_now.fetch_sub(1, Ordering::Relaxed);
         self.stats.bump(tid, Event::Reclaim);
-        track::global().on_reclaim();
     }
 
     /// Aggregated domain telemetry (see [`crate::domain_stats`]).
@@ -157,20 +160,15 @@ impl Domain {
         self.stats.snapshot()
     }
 
+    /// `tid`'s own shard of the domain ledger (see
+    /// [`crate::thread_stats`]).
+    pub fn thread_stats(&self, tid: usize) -> StatsSnapshot {
+        self.stats.thread_snapshot(tid)
+    }
+
     /// Objects currently claimed-retired but not yet deleted.
     pub fn unreclaimed(&self) -> u64 {
         self.retired_now.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of [`Domain::unreclaimed`].
-    pub fn max_unreclaimed(&self) -> u64 {
-        self.retired_max.load(Ordering::Relaxed)
-    }
-
-    /// Resets the high-water mark (between benchmark phases).
-    pub fn reset_max_unreclaimed(&self) {
-        self.retired_max
-            .store(self.retired_now.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     // ---- slot management (Algorithm 6) --------------------------------
@@ -442,8 +440,8 @@ impl Domain {
                         // SAFETY: counter at zero, claim held, and the
                         // hazard scan found no protector — `h` is ours to
                         // free, exactly once.
-                        unsafe { OrcHeader::destroy(h) };
-                        self.note_destroyed(tid);
+                        let bytes = unsafe { OrcHeader::destroy(h) };
+                        self.note_destroyed(tid, bytes);
                         destroyed += 1;
                         break 'obj;
                     }

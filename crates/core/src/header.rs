@@ -104,18 +104,18 @@ impl OrcHeader {
         raw
     }
 
-    /// Runs the destructor and frees the block.
+    /// Runs the destructor and frees the block; returns the freed
+    /// block's accounted size in bytes (the domain ledger counts it).
     ///
     /// # Safety
     /// `h` must be live and unreachable (Lemma 1 established).
-    pub(crate) unsafe fn destroy(h: *mut OrcHeader) {
+    pub(crate) unsafe fn destroy(h: *mut OrcHeader) -> usize {
         // SAFETY: `h` is live per this function's contract.
         let f = unsafe { (*h).drop_fn };
         let action = chk_hooks::on_reclaim(h as usize);
         // SAFETY: `drop_fn` was installed by `alloc` for `h`'s own `T`;
         // unreachability (the contract) makes this the one reclamation.
-        let bytes = unsafe { f(h, action) };
-        orc_util::track::global().on_free(bytes);
+        unsafe { f(h, action) }
     }
 
     /// The value behind a header pointer.

@@ -114,7 +114,7 @@ pub fn make_orc<T: Send + Sync>(value: T) -> OrcPtr<T> {
     // published below.
     let tag = unsafe { (*h).pool_tag };
     let bytes = orc_util::pool::slot_bytes(std::alloc::Layout::new::<header::Linked<T>>(), tag);
-    orc_util::track::global().on_alloc(bytes);
+    d.note_alloc(tid, bytes);
     let idx = d.get_new_idx(tid);
     d.publish(tid, idx, h as usize);
     OrcPtr::new(h as usize, idx, tid)
@@ -128,13 +128,14 @@ pub fn flush_thread() {
     domain().flush_thread_slots(tid);
 }
 
-/// Aggregated reclamation telemetry (orc-stats) for the process-wide OrcGC
-/// domain: retires (BRETIRED claims), reclaims (deletions plus relinquished
-/// claims), retire-scan passes, protect validation retries, handovers,
-/// batch-size histogram, the retire→reclaim latency histogram
-/// (`delay_p50()`/`delay_p99()`/`max_delay_ns`, stamped at the BRETIRED
-/// claim and measured at the actual deletion) and the peak of
-/// [`Domain::unreclaimed`]. All zeros when `ORC_STATS=0`.
+/// The ledger and telemetry (orc-stats) of the process-wide OrcGC domain:
+/// `make_orc` allocations and deletions with their slot bytes, retires
+/// (BRETIRED claims), reclaims (deletions plus relinquished claims),
+/// retire-scan passes, protect validation retries and handovers — always
+/// counted — plus the batch-size histogram, the retire→reclaim latency
+/// histogram (`delay_p50()`/`delay_p99()`/`max_delay_ns`, stamped at the
+/// BRETIRED claim and measured at the actual deletion) and the peak of
+/// [`Domain::unreclaimed`], which are zero when `ORC_STATS=0`.
 ///
 /// The domain also emits orc-trace events (`orc_util::trace`) for every
 /// claim transition: `OrcZero`, `BRetired`, `Unretire`, plus the shared
@@ -146,6 +147,15 @@ pub fn flush_thread() {
 /// the `reclaim` crate.
 pub fn domain_stats() -> orc_util::stats::StatsSnapshot {
     domain().stats()
+}
+
+/// The calling thread's own shard of the domain ledger — the counts of
+/// the allocations, frees, retires and reclaims *this thread* performed.
+/// The domain is process-wide, so a single-threaded test diffs this
+/// view around its own work instead of [`domain_stats`], which sibling
+/// tests churn concurrently.
+pub fn thread_stats() -> orc_util::stats::StatsSnapshot {
+    domain().thread_stats(cur_tid())
 }
 
 /// Registers the process-wide OrcGC domain as an orc-obs telemetry
@@ -258,15 +268,17 @@ mod tests {
 
     #[test]
     fn domain_metrics_track_retirements() {
-        let d = domain();
-        let base_max = d.max_unreclaimed();
+        let base = thread_stats();
         let p = make_orc(77u64);
         let link = OrcAtomic::new(&p);
         let g = link.load();
         drop(p);
-        link.store_null(); // retired, parked on g
-        assert!(d.unreclaimed() >= 1 || d.max_unreclaimed() > base_max);
+        link.store_null(); // retired: the claim is ours, the free waits on g
+        let mid = thread_stats().since(&base);
+        assert_eq!((mid.allocs, mid.retires, mid.frees), (1, 1, 0));
         drop(g);
         drop(link);
+        let end = thread_stats().since(&base);
+        assert_eq!((end.frees, end.reclaims, end.live_bytes()), (1, 1, 0));
     }
 }

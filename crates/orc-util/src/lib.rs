@@ -10,8 +10,6 @@
 //!   bits of aligned pointers).
 //! * [`dwcas`] — a double-word (128-bit) atomic built on `cmpxchg16b`, needed
 //!   by pass-the-buck and LCRQ.
-//! * [`track`] — global allocation accounting used by the leak tests and the
-//!   memory-usage experiments.
 //! * [`rng`] — a tiny xorshift generator for hot paths (skip-list levels,
 //!   workload key streams) and for the workspace's randomized tests.
 //! * [`sync`] — in-tree [`CachePadded`] and [`Backoff`] (the workspace
@@ -19,10 +17,12 @@
 //!   & CI").
 //! * [`stall`] — stalled-reader fault injection used by the torture
 //!   harness to validate the paper's unreclaimed-memory bounds.
-//! * [`stats`] — orc-stats: per-thread sharded reclamation telemetry
-//!   (retires, reclaims, scans, protect retries, handovers, batch-size
-//!   histograms, retire→reclaim delay histograms) behind an `ORC_STATS=0`
-//!   kill-switch.
+//! * [`stats`] — orc-stats: each scheme instance's per-thread sharded
+//!   ledger (allocs, frees and their slot bytes, retires, reclaims, scans,
+//!   protect retries, handovers) plus batch-size and retire→reclaim delay
+//!   histograms; `ORC_STATS=0` turns off only the histograms, retire
+//!   stamps and peak watermark. The leak tests and the memory-usage
+//!   experiments read live objects and bytes from it.
 //! * [`obs`] — orc-obs: background sampler turning per-scheme stats and
 //!   pool gauges into seqlock-ring time series, operation-latency spans
 //!   ([`obs::time_op`]), a rising-unreclaimed reclamation watchdog
@@ -60,7 +60,6 @@ pub mod stall;
 pub mod stats;
 pub mod sync;
 pub mod trace;
-pub mod track;
 
 pub use sync::Backoff;
 pub use sync::CachePadded;

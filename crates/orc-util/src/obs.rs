@@ -15,9 +15,9 @@
 //!    writer pass at a time, wait-free readers). Each source yields an
 //!    `unreclaimed` gauge plus `retire_rate` / `reclaim_rate` /
 //!    `protect_retry_rate` / `delay_p99_ns` series derived from
-//!    consecutive [`crate::stats::StatsSnapshot`] deltas; a process-wide
-//!    source adds `live_slots` (orc-pool) and `live_bytes` (the track
-//!    ledger) memory curves.
+//!    consecutive [`crate::stats::StatsSnapshot`] deltas, plus the
+//!    source's `live_bytes` memory curve from its own ledger; a
+//!    process-wide source adds the `live_slots` (orc-pool) curve.
 //! 2. **Operation-latency spans.** [`time_op`] wraps a structure
 //!    operation ([`OpKind`]: insert/remove/contains/enqueue/dequeue) and
 //!    — on a 1-in-[`OP_SAMPLE_STRIDE`] per-thread stride — times it into
@@ -50,7 +50,7 @@
 
 use crate::atomics::{fence, AtomicU64, AtomicU8, Ordering};
 use crate::stats::{delay_bucket_of, delay_bucket_value, StatsSnapshot, DELAY_BUCKETS};
-use crate::{pool, trace, track};
+use crate::{pool, trace};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -237,22 +237,23 @@ pub enum SeriesKind {
     /// memory-over-time curve of the paper's §5 plots. Process source
     /// only.
     LiveSlots = 5,
-    /// Process-wide live bytes per the track ledger. Process source
-    /// only.
+    /// Live slot bytes per the source's own ledger (`alloc_bytes −
+    /// free_bytes` of its [`StatsSnapshot`]).
     LiveBytes = 6,
 }
 
 /// The per-source series, in ring order.
-pub const SOURCE_SERIES: [SeriesKind; 5] = [
+pub const SOURCE_SERIES: [SeriesKind; 6] = [
     SeriesKind::Unreclaimed,
     SeriesKind::RetireRate,
     SeriesKind::ReclaimRate,
     SeriesKind::ProtectRetryRate,
     SeriesKind::DelayP99Ns,
+    SeriesKind::LiveBytes,
 ];
 
 /// The process-wide series, in ring order.
-pub const PROCESS_SERIES: [SeriesKind; 2] = [SeriesKind::LiveSlots, SeriesKind::LiveBytes];
+pub const PROCESS_SERIES: [SeriesKind; 1] = [SeriesKind::LiveSlots];
 
 impl SeriesKind {
     /// Snake-case series name (JSON keys, Prometheus metric suffixes).
@@ -522,12 +523,9 @@ pub fn sample_now() {
         return;
     };
     let t = trace::now_ns();
-    // Process-wide memory curves (sampled even with zero sources live,
-    // so a bench's curve spans scheme teardown too).
-    let rings = process_rings();
-    let p = pool::snapshot();
-    rings[0].push(t, p.live_slots().max(0) as u64);
-    rings[1].push(t, track::global().live_bytes().max(0) as u64);
+    // Process-wide pool curve (sampled even with zero sources live, so a
+    // bench's curve spans scheme teardown too).
+    process_rings()[0].push(t, pool::snapshot().live_slots().max(0) as u64);
     let guard = srcs.lock().unwrap();
     for s in guard.iter() {
         sample_source(s, t);
@@ -555,6 +553,7 @@ fn sample_source(s: &Arc<SourceState>, t: u64) {
     s.rings[2].push(t, rate(d.reclaims));
     s.rings[3].push(t, rate(d.protect_retries));
     s.rings[4].push(t, if d.delays() > 0 { d.delay_p99() } else { 0 });
+    s.rings[5].push(t, snap.live_bytes().max(0) as u64);
 
     // Watchdog: K consecutive strictly-rising unreclaimed samples latch
     // an alert. The baseline sample starts the comparison chain at the
@@ -580,8 +579,8 @@ fn sample_source(s: &Arc<SourceState>, t: u64) {
     pass.last_unreclaimed = unr;
 }
 
-/// The process memory series ([`SeriesKind::LiveSlots`] /
-/// [`SeriesKind::LiveBytes`]); empty before the first pass.
+/// The process memory series ([`SeriesKind::LiveSlots`]); empty before
+/// the first pass.
 pub fn process_series(kind: SeriesKind) -> Vec<Sample> {
     let Some(rings) = PROCESS_RINGS.get() else {
         return Vec::new();

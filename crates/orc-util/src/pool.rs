@@ -60,13 +60,13 @@
 //!
 //! # Accounting contract
 //!
-//! Per-node accounting (`orc_util::track`, the Table-1 ledger, the §5
-//! mem-skip probe) reports **slot bytes** — [`slot_bytes`] — on both alloc
-//! and free, so the ledger stays exactly balanced. Page grants are *pool
-//! capacity*, not live objects: they are visible only through
-//! [`snapshot`] (`pages`/`page_bytes`) and are deliberately not reported
-//! to `track`, avoiding any double count of a page grant against the
-//! per-node frees carved from it.
+//! Per-node accounting (each instance's [`crate::stats`] ledger, the
+//! Table-1 leak checks, the §5 mem-skip probe) reports **slot bytes** —
+//! [`slot_bytes`] — on both alloc and free, so the ledger stays exactly
+//! balanced. Page grants are *pool capacity*, not live objects: they are
+//! visible only through [`snapshot`] (`pages`/`page_bytes`) and are
+//! deliberately not reported to any ledger, avoiding any double count of
+//! a page grant against the per-node frees carved from it.
 //!
 //! # Kill switch
 //!
@@ -76,7 +76,7 @@
 //! tested. The flag is latched on first use, like `ORC_STATS`/`ORC_TRACE`.
 
 // Deliberately NOT the `crate::atomics` facade — the same exemption as
-// track.rs and trace.rs: the pool's remote stacks and counters are
+// stats.rs and trace.rs: the pool's remote stacks and counters are
 // allocator plumbing, not protocol state. Routing them through the
 // orc-check shims would make every node allocation several scheduling
 // points on globally shared addresses, exploding the model checker's
@@ -165,8 +165,8 @@ pub fn class_of(layout: Layout) -> Option<usize> {
 
 /// Bytes an allocation with this `(layout, tag)` pair occupies — the slot
 /// size for pooled allocations, the exact layout size otherwise. This is
-/// the number both funnels report to `orc_util::track` on alloc *and*
-/// free, keeping the live-bytes ledger exact under pooling.
+/// the number both funnels report to the owning instance's ledger on
+/// alloc *and* free, keeping its live bytes exact under pooling.
 #[inline]
 pub fn slot_bytes(layout: Layout, tag: PoolTag) -> usize {
     match (tag & 0xff) as usize {

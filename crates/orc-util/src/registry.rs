@@ -11,10 +11,13 @@
 //! callbacks run *before* the tid is released, so a scheme can drain the
 //! exiting thread's handover/retired state while its slots are still owned
 //! exclusively. A new thread that later reuses the same tid therefore always
-//! observes clean per-thread state.
+//! observes clean per-thread state. [`tid`] keeps answering inside those
+//! callbacks: a scheme's exit drain can free objects whose destructors
+//! reach back into the registry (an OrcGC cascade drops `OrcAtomic`
+//! fields, which look up the caller's tid).
 
 use crate::atomics::{AtomicBool, AtomicUsize, Ordering};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Maximum number of concurrently *registered* threads.
 ///
@@ -44,12 +47,23 @@ impl Drop for TidGuard {
         for f in self.cleanups.drain(..) {
             f();
         }
+        // A callback may have re-registered (defer_at_exit during
+        // `retire_thread`); only clear the latch if it is still ours.
+        TID.with(|t| {
+            if t.get() == self.tid + 1 {
+                t.set(0);
+            }
+        });
         USED[self.tid].store(false, Ordering::Release);
     }
 }
 
 thread_local! {
     static GUARD: RefCell<Option<TidGuard>> = const { RefCell::new(None) };
+    /// The registered tid + 1 (0 = unregistered). A const-initialised
+    /// `Cell` has no destructor, so unlike `GUARD` it stays readable while
+    /// `GUARD`'s own destructor runs the exit callbacks.
+    static TID: Cell<usize> = const { Cell::new(0) };
 }
 
 fn register() -> TidGuard {
@@ -77,17 +91,23 @@ fn register() -> TidGuard {
 /// the thread exits.
 #[inline]
 pub fn tid() -> usize {
-    GUARD.with(|g| {
-        let mut g = g.borrow_mut();
-        if let Some(ref guard) = *g {
-            guard.tid
-        } else {
-            let guard = register();
-            let tid = guard.tid;
-            *g = Some(guard);
-            tid
-        }
-    })
+    match TID.with(Cell::get) {
+        0 => tid_slow(),
+        t => t - 1,
+    }
+}
+
+#[cold]
+fn tid_slow() -> usize {
+    GUARD.with(|g| registered(&mut g.borrow_mut()).tid)
+}
+
+/// The calling thread's guard, registering it (and latching [`TID`]) if
+/// it has none.
+fn registered(g: &mut Option<TidGuard>) -> &mut TidGuard {
+    let guard = g.get_or_insert_with(register);
+    TID.with(|t| t.set(guard.tid + 1));
+    guard
 }
 
 /// Registers a callback that runs when the calling thread exits, before its
@@ -97,13 +117,7 @@ pub fn tid() -> usize {
 /// handover slots so that objects are not stranded when a worker thread
 /// terminates.
 pub fn defer_at_exit(f: impl FnOnce() + 'static) {
-    GUARD.with(|g| {
-        let mut g = g.borrow_mut();
-        if g.is_none() {
-            *g = Some(register());
-        }
-        g.as_mut().unwrap().cleanups.push(Box::new(f));
-    });
+    GUARD.with(|g| registered(&mut g.borrow_mut()).cleanups.push(Box::new(f)));
 }
 
 /// Releases the calling thread's tid *now*, running its [`defer_at_exit`]
@@ -175,6 +189,21 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(ran.load(Ordering::SeqCst), 11);
+    }
+
+    #[test]
+    fn exit_callbacks_can_read_their_own_tid() {
+        let (mine, seen) = std::thread::spawn(|| {
+            let seen = Arc::new(AtomicUsize::new(usize::MAX));
+            let s = seen.clone();
+            defer_at_exit(move || {
+                s.store(tid(), Ordering::SeqCst);
+            });
+            (tid(), seen)
+        })
+        .join()
+        .unwrap();
+        assert_eq!(seen.load(Ordering::SeqCst), mine);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Reclamation telemetry (orc-stats).
+//! Reclamation telemetry (orc-stats) and the per-instance ledger.
 //!
 //! The paper's whole evaluation (§6, Figs. 1–8) is about *observed*
 //! reclamation behavior — throughput, retired-but-unreclaimed counts,
@@ -10,7 +10,10 @@
 //! * **per-thread sharded counters** — one cache-line-padded slot per
 //!   registry tid (the same dense-tid layout the hazard arrays use), so
 //!   the hot-path cost of an event is a single relaxed add with no
-//!   cross-thread contention;
+//!   cross-thread contention. They include the object lifecycle —
+//!   allocs, frees and their slot bytes — which makes [`SchemeStats`]
+//!   the one accounting spine of a scheme instance (or the OrcGC
+//!   domain): live objects and bytes are *derived* at snapshot time;
 //! * **power-of-two histograms** of reclamation batch sizes — whether a
 //!   scheme frees in dribbles (PTP: batch = 1) or avalanches (EBR: whole
 //!   limbo bins) is exactly what separates their latency profiles;
@@ -24,22 +27,37 @@
 //!
 //! # Kill switch
 //!
-//! Setting `ORC_STATS=0` (or `false`/`off`) in the environment disables
-//! every recording call for the life of the process: the first event
-//! latches the flag into a static, after which each call is a single
-//! relaxed load and a predicted-not-taken branch — measured noise for
-//! overhead-sensitive runs. Counting is **on** by default.
+//! The event counters ([`SchemeStats::bump`] / [`SchemeStats::add`] /
+//! [`SchemeStats::on_alloc`] / [`SchemeStats::on_free`]) are the ledger
+//! and are always on. Setting `ORC_STATS=0` (or `false`/`off`) in the
+//! environment disables only the parts that need a clock read or a
+//! shared RMW: the batch and delay histograms, retire stamps, and the
+//! peak watermark. The first check latches the flag into a static, after
+//! which each gated call is a single relaxed load and a
+//! predicted-not-taken branch; an instance built with the switch off
+//! never allocates its histograms, so its per-tid footprint is the one
+//! padded line of counters. Everything is **on** by default.
 //!
 //! # Exactness contract
 //!
 //! Schemes pair every `unreclaimed += 1` with [`Event::Retire`] and every
-//! `unreclaimed -= 1` with [`Event::Reclaim`], so at quiescence (no
-//! in-flight operations) the invariant
-//! `retires − reclaims == unreclaimed()` holds exactly, and
-//! `reclaims ≤ retires` holds at all times. The torture harness asserts
-//! both across the whole battery.
+//! `unreclaimed -= 1` with [`Event::Reclaim`], and count every tracked
+//! allocation and free of the objects they own, so at quiescence (no
+//! in-flight operations) the invariants
+//! `retires − reclaims == unreclaimed()` and
+//! `allocs − frees == unreclaimed()` (once the structure dropped its
+//! live nodes) hold exactly, and `reclaims ≤ retires` holds at all
+//! times. The torture harness asserts them across the whole battery,
+//! with the kill switch on and off.
 
-use crate::atomics::{AtomicU64, AtomicU8, Ordering};
+// Deliberately NOT the `crate::atomics` facade — the same exemption as
+// trace.rs: the ledger is statistics, not synchronization, and every
+// alloc, retire and free touches it. Routing it through the orc-check
+// shims would make each count a scheduling point, exploding the model
+// checker's branch space with interleavings no protocol property
+// depends on.
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+
 use crate::registry;
 use crate::CachePadded;
 
@@ -76,24 +94,71 @@ pub enum Event {
     /// One object parked into (or displaced through) a handover /
     /// handoff slot (PTP, PTB, OrcGC).
     Handover = 5,
+    /// One tracked object allocated (see [`SchemeStats::on_alloc`]).
+    Alloc = 6,
+    /// One tracked object freed (see [`SchemeStats::on_free`]).
+    Free = 7,
+    /// Slot bytes of the allocations counted by [`Event::Alloc`].
+    AllocBytes = 8,
+    /// Slot bytes of the frees counted by [`Event::Free`].
+    FreeBytes = 9,
 }
 
-const EVENTS: usize = 6;
+const EVENTS: usize = 10;
 
-/// Per-tid shard: event counters plus the batch-size histogram. Padded so
-/// adjacent tids never share a cache line.
+/// Per-tid ledger counters ([`Event`]-indexed). Padded so adjacent tids
+/// never share a cache line.
 struct Shard {
     counters: [AtomicU64; EVENTS],
-    batch_hist: [AtomicU64; BATCH_BUCKETS],
-    delay_hist: [AtomicU64; DELAY_BUCKETS],
 }
 
 impl Shard {
     fn new() -> Self {
         Self {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            delay_hist: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    fn count(&self, ev: Event) -> u64 {
+        self.counters[ev as usize].load(Ordering::Relaxed)
+    }
+
+    /// Adds this shard's counters into `s`.
+    fn fold_into(&self, s: &mut StatsSnapshot) {
+        s.retires += self.count(Event::Retire);
+        s.reclaims += self.count(Event::Reclaim);
+        s.scans += self.count(Event::Scan);
+        s.flushes += self.count(Event::Flush);
+        s.protect_retries += self.count(Event::ProtectRetry);
+        s.handovers += self.count(Event::Handover);
+        s.allocs += self.count(Event::Alloc);
+        s.frees += self.count(Event::Free);
+        s.alloc_bytes += self.count(Event::AllocBytes);
+        s.free_bytes += self.count(Event::FreeBytes);
+    }
+}
+
+/// Per-tid histograms — the optional telemetry behind `ORC_STATS`.
+struct Hists {
+    batch: [AtomicU64; BATCH_BUCKETS],
+    delay: [AtomicU64; DELAY_BUCKETS],
+}
+
+impl Hists {
+    fn new() -> Self {
+        Self {
+            batch: std::array::from_fn(|_| AtomicU64::new(0)),
+            delay: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// Adds these histograms into `s`.
+    fn fold_into(&self, s: &mut StatsSnapshot) {
+        for (acc, b) in s.batch_hist.iter_mut().zip(self.batch.iter()) {
+            *acc += b.load(Ordering::Relaxed);
+        }
+        for (acc, b) in s.delay_hist.iter_mut().zip(self.delay.iter()) {
+            *acc += b.load(Ordering::Relaxed);
         }
     }
 }
@@ -102,14 +167,11 @@ impl Shard {
 /// domain). See the module docs for layout and cost.
 pub struct SchemeStats {
     shards: Box<[CachePadded<Shard>]>,
+    /// Per-tid histograms; allocated only when [`enabled`] (1.6 KB per
+    /// tid that an `ORC_STATS=0` run never touches).
+    hists: Option<Box<[CachePadded<Hists>]>>,
     /// Process-wide high-water mark of the owner's `unreclaimed` gauge.
     peak_unreclaimed: AtomicU64,
-    /// Same watermark, but resettable: [`Self::take_window_peak`] swaps it
-    /// back to zero, so consecutive takes partition time into windows and
-    /// each take reports the peak *within its window*. The adaptive
-    /// controller's "pressure has relaxed" decision needs exactly this —
-    /// the process-monotone `peak_unreclaimed` can never come back down.
-    window_peak: AtomicU64,
     /// Longest retire→reclaim delay observed, exactly (the histogram only
     /// bounds it to a sub-bucket).
     max_delay_ns: AtomicU64,
@@ -121,35 +183,61 @@ impl SchemeStats {
             shards: (0..registry::max_threads())
                 .map(|_| CachePadded::new(Shard::new()))
                 .collect(),
+            hists: enabled().then(|| {
+                (0..registry::max_threads())
+                    .map(|_| CachePadded::new(Hists::new()))
+                    .collect()
+            }),
             peak_unreclaimed: AtomicU64::new(0),
-            window_peak: AtomicU64::new(0),
             max_delay_ns: AtomicU64::new(0),
         }
     }
 
     /// Records one `ev` on the calling thread's shard (`tid` must be the
     /// caller's registry tid — every scheme hot path already has it).
+    /// Always on: the counters are the ledger.
     #[inline]
     pub fn bump(&self, tid: usize, ev: Event) {
-        if enabled() {
-            self.shards[tid].counters[ev as usize].fetch_add(1, Ordering::Relaxed);
-        }
+        self.shards[tid].counters[ev as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `n` occurrences of `ev` at once (scan loops count locally
     /// and publish a single add).
     #[inline]
     pub fn add(&self, tid: usize, ev: Event, n: u64) {
-        if n != 0 && enabled() {
+        if n != 0 {
             self.shards[tid].counters[ev as usize].fetch_add(n, Ordering::Relaxed);
         }
+    }
+
+    /// Records one tracked allocation of `bytes` slot bytes.
+    #[inline]
+    pub fn on_alloc(&self, tid: usize, bytes: usize) {
+        self.bump(tid, Event::Alloc);
+        self.add(tid, Event::AllocBytes, bytes as u64);
+    }
+
+    /// Records one tracked free of `bytes` slot bytes.
+    #[inline]
+    pub fn on_free(&self, tid: usize, bytes: usize) {
+        self.bump(tid, Event::Free);
+        self.add(tid, Event::FreeBytes, bytes as u64);
+    }
+
+    /// Sum of one event counter over every shard — a cheaper read than a
+    /// full [`snapshot`](Self::snapshot) when a caller needs one number.
+    pub fn total(&self, ev: Event) -> u64 {
+        self.shards.iter().map(|s| s.count(ev)).sum()
     }
 
     /// Records one reclamation batch of `n` objects freed together.
     #[inline]
     pub fn batch(&self, tid: usize, n: u64) {
-        if n != 0 && enabled() {
-            self.shards[tid].batch_hist[bucket_of(n)].fetch_add(1, Ordering::Relaxed);
+        match &self.hists {
+            Some(h) if n != 0 => {
+                h[tid].batch[bucket_of(n)].fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
         }
     }
 
@@ -159,33 +247,15 @@ impl SchemeStats {
     pub fn note_unreclaimed(&self, now: u64) {
         if enabled() {
             self.peak_unreclaimed.fetch_max(now, Ordering::Relaxed);
-            self.window_peak.fetch_max(now, Ordering::Relaxed);
         }
-    }
-
-    /// The unreclaimed watermark of the current window (the peak gauge
-    /// value fed to [`note_unreclaimed`](Self::note_unreclaimed) since the
-    /// last [`take_window_peak`](Self::take_window_peak)).
-    #[inline]
-    pub fn window_peak(&self) -> u64 {
-        self.window_peak.load(Ordering::Relaxed)
-    }
-
-    /// Closes the current window: returns its peak and starts a new
-    /// (zeroed) window. Concurrent `note_unreclaimed` calls land in
-    /// whichever window the swap boundary assigns them to — each observed
-    /// value is counted in exactly one window either way.
-    #[inline]
-    pub fn take_window_peak(&self) -> u64 {
-        self.window_peak.swap(0, Ordering::Relaxed)
     }
 
     /// Records one retire→reclaim delay of `ns` nanoseconds (the time an
     /// object spent in the retired set before its memory came back).
     #[inline]
     pub fn reclaim_delay(&self, tid: usize, ns: u64) {
-        if enabled() {
-            self.shards[tid].delay_hist[delay_bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        if let Some(h) = &self.hists {
+            h[tid].delay[delay_bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
             self.max_delay_ns.fetch_max(ns, Ordering::Relaxed);
         }
     }
@@ -198,23 +268,27 @@ impl SchemeStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut s = StatsSnapshot::default();
         for shard in self.shards.iter() {
-            s.retires += shard.counters[Event::Retire as usize].load(Ordering::Relaxed);
-            s.reclaims += shard.counters[Event::Reclaim as usize].load(Ordering::Relaxed);
-            s.scans += shard.counters[Event::Scan as usize].load(Ordering::Relaxed);
-            s.flushes += shard.counters[Event::Flush as usize].load(Ordering::Relaxed);
-            s.protect_retries +=
-                shard.counters[Event::ProtectRetry as usize].load(Ordering::Relaxed);
-            s.handovers += shard.counters[Event::Handover as usize].load(Ordering::Relaxed);
-            for (acc, b) in s.batch_hist.iter_mut().zip(shard.batch_hist.iter()) {
-                *acc += b.load(Ordering::Relaxed);
-            }
-            for (acc, b) in s.delay_hist.iter_mut().zip(shard.delay_hist.iter()) {
-                *acc += b.load(Ordering::Relaxed);
-            }
+            shard.fold_into(&mut s);
+        }
+        for h in self.hists.iter().flat_map(|h| h.iter()) {
+            h.fold_into(&mut s);
         }
         s.peak_unreclaimed = self.peak_unreclaimed.load(Ordering::Relaxed);
-        s.window_peak = self.window_peak.load(Ordering::Relaxed);
         s.max_delay_ns = self.max_delay_ns.load(Ordering::Relaxed);
+        s
+    }
+
+    /// The counters and histograms of `tid`'s shard alone (watermarks
+    /// stay 0: they are instance-wide). While a thread owns its tid, no
+    /// other thread writes this shard, so a single-threaded test can
+    /// diff it around its own work even while other threads churn the
+    /// same instance.
+    pub fn thread_snapshot(&self, tid: usize) -> StatsSnapshot {
+        let mut s = StatsSnapshot::default();
+        self.shards[tid].fold_into(&mut s);
+        if let Some(h) = &self.hists {
+            h[tid].fold_into(&mut s);
+        }
         s
     }
 }
@@ -313,12 +387,17 @@ pub struct StatsSnapshot {
     pub protect_retries: u64,
     /// Handover / handoff transfers (PTP, PTB, OrcGC).
     pub handovers: u64,
-    /// High-water mark of the scheme's `unreclaimed` gauge.
+    /// Tracked objects allocated.
+    pub allocs: u64,
+    /// Tracked objects freed.
+    pub frees: u64,
+    /// Slot bytes of `allocs`.
+    pub alloc_bytes: u64,
+    /// Slot bytes of `frees`.
+    pub free_bytes: u64,
+    /// High-water mark of the scheme's `unreclaimed` gauge (0 with
+    /// `ORC_STATS=0`).
     pub peak_unreclaimed: u64,
-    /// Watermark of the current sampling window — resets to zero every
-    /// [`SchemeStats::take_window_peak`], so unlike `peak_unreclaimed` it
-    /// is *not* monotone across snapshots.
-    pub window_peak: u64,
     /// Power-of-two reclamation batch sizes: `batch_hist[i]` counts
     /// batches of `[2^i, 2^(i+1))` objects freed in one pass.
     pub batch_hist: [u64; BATCH_BUCKETS],
@@ -339,8 +418,11 @@ impl Default for StatsSnapshot {
             flushes: 0,
             protect_retries: 0,
             handovers: 0,
+            allocs: 0,
+            frees: 0,
+            alloc_bytes: 0,
+            free_bytes: 0,
             peak_unreclaimed: 0,
-            window_peak: 0,
             batch_hist: [0; BATCH_BUCKETS],
             delay_hist: [0; DELAY_BUCKETS],
             max_delay_ns: 0,
@@ -353,6 +435,18 @@ impl StatsSnapshot {
     /// `unreclaimed()` gauge (saturating under mid-churn skew).
     pub fn outstanding(&self) -> u64 {
         self.retires.saturating_sub(self.reclaims)
+    }
+
+    /// `allocs − frees`: tracked objects still live (retired-but-unfreed
+    /// ones included). Signed so a diff over a window that frees more
+    /// than it allocates reads negative rather than wrapping.
+    pub fn live_objects(&self) -> i64 {
+        self.allocs as i64 - self.frees as i64
+    }
+
+    /// `alloc_bytes − free_bytes`: slot bytes still live.
+    pub fn live_bytes(&self) -> i64 {
+        self.alloc_bytes as i64 - self.free_bytes as i64
     }
 
     /// Total reclamation batches recorded in the histogram.
@@ -418,11 +512,11 @@ impl StatsSnapshot {
             flushes: self.flushes.saturating_sub(base.flushes),
             protect_retries: self.protect_retries.saturating_sub(base.protect_retries),
             handovers: self.handovers.saturating_sub(base.handovers),
+            allocs: self.allocs.saturating_sub(base.allocs),
+            frees: self.frees.saturating_sub(base.frees),
+            alloc_bytes: self.alloc_bytes.saturating_sub(base.alloc_bytes),
+            free_bytes: self.free_bytes.saturating_sub(base.free_bytes),
             peak_unreclaimed: self.peak_unreclaimed,
-            // Watermarks are carried, not differenced; the window peak is
-            // additionally non-monotone (resettable), so the latest
-            // observation is the only meaningful value.
-            window_peak: self.window_peak,
             batch_hist: [0; BATCH_BUCKETS],
             delay_hist: [0; DELAY_BUCKETS],
             max_delay_ns: self.max_delay_ns,
@@ -445,6 +539,10 @@ impl StatsSnapshot {
             && self.flushes >= earlier.flushes
             && self.protect_retries >= earlier.protect_retries
             && self.handovers >= earlier.handovers
+            && self.allocs >= earlier.allocs
+            && self.frees >= earlier.frees
+            && self.alloc_bytes >= earlier.alloc_bytes
+            && self.free_bytes >= earlier.free_bytes
             && self.peak_unreclaimed >= earlier.peak_unreclaimed
             && self.max_delay_ns >= earlier.max_delay_ns
             && self
@@ -535,7 +633,8 @@ impl StatsSnapshot {
         format!(
             "{{\"retires\":{},\"reclaims\":{},\"scans\":{},\"flushes\":{},\
              \"protect_retries\":{},\"handovers\":{},\"peak_unreclaimed\":{},\
-             \"window_peak\":{},\"batches\":{},\"mean_batch\":{}}}",
+             \"batches\":{},\"mean_batch\":{},\"allocs\":{},\"frees\":{},\
+             \"live_bytes\":{}}}",
             self.retires,
             self.reclaims,
             self.scans,
@@ -543,7 +642,6 @@ impl StatsSnapshot {
             self.protect_retries,
             self.handovers,
             self.peak_unreclaimed,
-            self.window_peak,
             self.batches(),
             // 0-batch snapshots yield mean 0.0 (never NaN), but guard
             // anyway: `{}` on a non-finite f64 is invalid JSON.
@@ -552,6 +650,9 @@ impl StatsSnapshot {
             } else {
                 "null".into()
             },
+            self.allocs,
+            self.frees,
+            self.live_bytes(),
         )
     }
 
@@ -735,48 +836,43 @@ mod tests {
     }
 
     #[test]
-    fn window_peak_rolls_over_but_process_peak_does_not() {
+    fn lifecycle_counts_derive_live_objects_and_bytes() {
         let s = SchemeStats::new();
-        s.note_unreclaimed(10);
-        s.note_unreclaimed(4); // neither watermark regresses
-        assert_eq!(s.window_peak(), 10);
-        assert_eq!(s.snapshot().window_peak, 10);
-        assert_eq!(s.snapshot().peak_unreclaimed, 10);
-
-        // Closing the window reports its peak and starts a zeroed one;
-        // the process-monotone peak is untouched.
-        assert_eq!(s.take_window_peak(), 10);
-        assert_eq!(s.window_peak(), 0);
-        assert_eq!(s.snapshot().window_peak, 0);
-        assert_eq!(s.snapshot().peak_unreclaimed, 10);
-
-        // A calmer second window: the window peak tracks *this* window
-        // (pressure relaxed), the process peak still remembers the spike.
-        s.note_unreclaimed(3);
-        assert_eq!(s.take_window_peak(), 3);
-        assert_eq!(s.snapshot().peak_unreclaimed, 10);
-
-        // An empty window reads (and takes) as zero.
-        assert_eq!(s.take_window_peak(), 0);
+        let tid = registry::tid();
+        s.on_alloc(tid, 64);
+        s.on_alloc(tid, 32);
+        let snap = s.snapshot();
+        assert_eq!((snap.allocs, snap.alloc_bytes), (2, 96));
+        assert_eq!((snap.live_objects(), snap.live_bytes()), (2, 96));
+        s.on_free(tid, 64);
+        let d = s.snapshot().since(&snap);
+        assert_eq!((d.live_objects(), d.live_bytes()), (-1, -64));
+        s.on_free(tid, 32);
+        let end = s.snapshot();
+        assert_eq!((end.live_objects(), end.live_bytes()), (0, 0));
+        assert!(end.is_monotone_since(&snap));
+        assert!(end
+            .json()
+            .contains("\"allocs\":2,\"frees\":2,\"live_bytes\":0"));
     }
 
     #[test]
-    fn window_peak_is_carried_by_since_and_exempt_from_monotonicity() {
-        let s = SchemeStats::new();
+    fn thread_snapshot_sees_only_its_own_shard() {
+        let s = std::sync::Arc::new(SchemeStats::new());
         let tid = registry::tid();
-        s.bump(tid, Event::Retire);
-        s.note_unreclaimed(8);
-        let a = s.snapshot();
-        s.take_window_peak();
-        s.note_unreclaimed(2);
-        let b = s.snapshot();
-        // `since` carries the latest window observation, not a difference.
-        assert_eq!(b.since(&a).window_peak, 2);
-        // The window peak went 8 → 2, yet the snapshots are still
-        // monotone: the resettable watermark must not poison the
-        // live-instance monotonicity invariant the torture harness asserts.
-        assert!(b.is_monotone_since(&a));
-        assert!(b.json().contains("\"window_peak\":2"));
+        s.on_alloc(tid, 8);
+        let s2 = s.clone();
+        std::thread::spawn(move || {
+            let t = registry::tid();
+            s2.on_alloc(t, 16);
+            s2.bump(t, Event::Retire);
+        })
+        .join()
+        .unwrap();
+        let mine = s.thread_snapshot(tid);
+        assert_eq!((mine.allocs, mine.alloc_bytes, mine.retires), (1, 8, 0));
+        assert_eq!(s.snapshot().allocs, 2);
+        assert_eq!(s.total(Event::Retire), 1);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! power of two, default 1024 slots).
 
 // Deliberately NOT the `crate::atomics` facade — the same exemption as
-// track.rs: trace slots are observation, not synchronization, and every
+// stats.rs: trace slots are observation, not synchronization, and every
 // reclamation hot path touches them. Routing them through the orc-check
 // shims would make each recorded event several scheduling points on
 // shared addresses, exploding the model checker's branch space with
@@ -73,7 +73,8 @@ pub enum EventKind {
     /// A tracked object was allocated. `a` = object address, `b` = bytes.
     Alloc = 0,
     /// An object entered a scheme's retired set. `a` = object address,
-    /// `b` = global retire sequence number ([`next_retire_seq`]).
+    /// `b` = the retiring tid's retire sequence number
+    /// ([`next_retire_seq`]; `(tid, seq)` is unique).
     Retire = 1,
     /// One reclamation pass freed `a` objects together.
     ReclaimBatch = 2,
@@ -94,8 +95,8 @@ pub enum EventKind {
     /// precondition for a retire claim. `a` = object address.
     OrcZero = 8,
     /// An OrcGC retire claim succeeded (BRETIRED set, object entered the
-    /// domain's retired accounting). `a` = object address, `b` = global
-    /// retire sequence number.
+    /// domain's retired accounting). `a` = object address, `b` = the
+    /// claiming tid's retire sequence number.
     BRetired = 9,
     /// An OrcGC retire claim was relinquished (the counter moved after
     /// the claim). `a` = object address.
@@ -209,6 +210,8 @@ impl Slot {
 struct Ring {
     /// Events ever recorded by this tid (not capped by the ring size).
     head: AtomicU64,
+    /// Retires recorded by this tid ([`next_retire_seq`]).
+    retire_seq: AtomicU64,
     slots: Box<[Slot]>,
 }
 
@@ -216,6 +219,7 @@ impl Ring {
     fn new(cap: usize) -> Self {
         Self {
             head: AtomicU64::new(0),
+            retire_seq: AtomicU64::new(0),
             slots: (0..cap).map(|_| Slot::new()).collect(),
         }
     }
@@ -296,13 +300,16 @@ pub fn now_ns() -> u64 {
     (EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64).max(1)
 }
 
-static RETIRE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Next value of the process-wide retire sequence — the key that ties a
-/// `Retire{addr,seq}` event to the reclaim that later frees the object.
+/// Next value of `tid`'s retire sequence — with the ring's tid, the key
+/// that ties a `Retire{addr,seq}` event to the reclaim that later frees
+/// the object. Rings are per tid, so `(tid, seq)` is unique without a
+/// shared counter. `tid` must be the calling thread's (single writer).
 #[inline]
-pub fn next_retire_seq() -> u64 {
-    RETIRE_SEQ.fetch_add(1, Ordering::Relaxed)
+pub fn next_retire_seq(tid: usize) -> u64 {
+    let seq = &buf().rings[tid].retire_seq;
+    let n = seq.load(Ordering::Relaxed);
+    seq.store(n + 1, Ordering::Relaxed);
+    n
 }
 
 /// Records one event on the calling thread's ring (resolves the registry
@@ -794,9 +801,17 @@ mod tests {
 
     #[test]
     fn retire_seq_is_monotone() {
-        let a = next_retire_seq();
-        let b = next_retire_seq();
-        assert!(b > a);
+        // Per thread: each thread's own sequence strictly increases, no
+        // matter what other threads retire meanwhile.
+        let seqs = |tid| {
+            let a = next_retire_seq(tid);
+            let b = next_retire_seq(tid);
+            assert_eq!(b, a + 1);
+        };
+        seqs(registry::tid());
+        std::thread::spawn(move || seqs(registry::tid()))
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Adaptive hybrid scheme: era reservations when healthy, pointer
-//! publication when attacked — driven by orc-stats.
+//! publication when attacked — driven by the instance's own ledger.
 //!
 //! The manual schemes trade read-path cost against the damage a stalled
 //! reader can do (Table 1): era reservation ([`EraProtect`], HE's policy)
@@ -14,11 +14,13 @@
 //! # Controller
 //!
 //! A per-instance controller piggybacks on the retire path. Every
-//! [`WINDOW`][AdaptiveConfig::window] retires it samples
-//! `SchemeStats::take_window_peak()` — the peak of the unreclaimed gauge
-//! since the previous sample (satellite of this PR; see
-//! `orc_util::stats`) — plus the protect-retry delta, and moves through a
-//! two-state machine with hysteresis:
+//! [`WINDOW`][AdaptiveConfig::window] retires it samples its window
+//! peak — the peak of the unreclaimed gauge since the previous sample,
+//! fed by the value every retire's `RetireLedger::on_retire` returns —
+//! plus the protect-retry delta from the ledger's always-on counters,
+//! and moves through a two-state machine with hysteresis. Neither input
+//! depends on `ORC_STATS`: the controller is part of the scheme, not of
+//! its telemetry.
 //!
 //! ```text
 //!            peak > high  ∨  retries > 4·window
@@ -63,10 +65,10 @@ use crate::header::{alloc_tracked, SmrHeader};
 use crate::policy::{EraProtect, PointerProtect, RetireLedger, ScanList};
 use crate::Smr;
 use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
-use orc_util::registry;
-use orc_util::stats::{Event, StatsSnapshot};
+use orc_util::stats::Event;
 use orc_util::trace::EventKind;
 use orc_util::trace_event_at;
+use orc_util::{registry, CachePadded};
 use std::sync::Arc;
 
 /// How many retires between era-clock increments (same cadence as HE).
@@ -161,6 +163,34 @@ impl AdaptiveConfig {
     }
 }
 
+/// The unreclaimed watermark of one controller window: [`note`] folds in
+/// each retire's gauge value, [`take`] closes the window (returns its
+/// peak, starts a zeroed one). Consecutive takes partition time into
+/// windows, so unlike the ledger's process-monotone peak this one comes
+/// back down when pressure relaxes — exactly what the Pointer → Era
+/// decision needs. Concurrent notes land in whichever window the swap
+/// boundary assigns them to; each is counted in exactly one.
+///
+/// [`note`]: WindowPeak::note
+/// [`take`]: WindowPeak::take
+#[derive(Default)]
+struct WindowPeak(AtomicU64);
+
+impl WindowPeak {
+    #[inline]
+    fn note(&self, now: u64) {
+        // Read first: under steady churn the gauge rarely sets a new
+        // peak, so most retires skip the shared RMW.
+        if now > self.0.load(Ordering::Relaxed) {
+            self.0.fetch_max(now, Ordering::Relaxed);
+        }
+    }
+
+    fn take(&self) -> u64 {
+        self.0.swap(0, Ordering::Relaxed)
+    }
+}
+
 /// Owner-thread bookkeeping: which slot indices currently hold a live
 /// announcement in each population (bit `i` = slot `i`; `MAX_HPS ≤ 8`).
 /// Lets `end_op`/`clear` touch only the slots an op actually used — a
@@ -189,6 +219,9 @@ struct Inner {
     window_retires: AtomicUsize,
     /// Protect-retry count at the previous controller sample.
     last_retries: AtomicU64,
+    /// Peak unreclaimed gauge of the current controller window. Padded:
+    /// retires write it, and readers load `mode` on every protect.
+    window_peak: CachePadded<WindowPeak>,
     cfg: AdaptiveConfig,
 }
 
@@ -226,6 +259,7 @@ impl Adaptive {
                 switch_count: AtomicUsize::new(0),
                 window_retires: AtomicUsize::new(0),
                 last_retries: AtomicU64::new(0),
+                window_peak: CachePadded::new(WindowPeak::default()),
                 cfg: cfg.sanitized(),
             }),
         }
@@ -347,8 +381,8 @@ impl Inner {
         // One sampler wins the window's peak (take is a swap-to-zero);
         // racing samplers read 0 and see a quiet window, which at worst
         // delays a transition by one window — never corrupts the latch.
-        let peak = self.ledger.stats().take_window_peak();
-        let retries = self.ledger.snapshot().protect_retries;
+        let peak = self.window_peak.take();
+        let retries = self.ledger.stats().total(Event::ProtectRetry);
         let retry_delta =
             retries.saturating_sub(self.last_retries.swap(retries, Ordering::Relaxed));
         // Controller heuristic only — a stale mode read at worst delays a
@@ -423,7 +457,7 @@ impl Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.retired.teardown();
+        self.retired.teardown(&self.ledger);
     }
 }
 
@@ -432,10 +466,19 @@ impl Smr for Adaptive {
         "Adaptive"
     }
 
+    fn ledger(&self) -> &RetireLedger {
+        &self.inner.ledger
+    }
+
     fn alloc<T: Send>(&self, value: T) -> *mut T {
         // Birth era is stamped in *both* modes: era coverage must be
         // well-defined for every object a later era-mode scan examines.
-        alloc_tracked(value, self.inner.eras.current())
+        alloc_tracked(
+            &self.inner.ledger,
+            registry::tid(),
+            value,
+            self.inner.eras.current(),
+        )
     }
 
     fn end_op(&self) {
@@ -508,7 +551,8 @@ impl Smr for Adaptive {
         let h = unsafe { SmrHeader::of_value(ptr) };
         // SAFETY: `h` is the live header just recovered from `ptr`, retired
         // exactly once by this thread.
-        unsafe { self.inner.ledger.on_retire(tid, h) };
+        let now = unsafe { self.inner.ledger.on_retire(tid, h) };
+        self.inner.window_peak.note(now as u64);
         // Del era is stamped in both modes (see `alloc`).
         // SAFETY: `h` is live until this scheme destroys it, which cannot
         // happen before it lands on the retired list below.
@@ -535,14 +579,6 @@ impl Smr for Adaptive {
         self.inner.ledger.stats().bump(tid, Event::Flush);
         self.inner.eras.advance();
         self.inner.scan(tid);
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
     }
 
     fn is_lock_free(&self) -> bool {
@@ -637,6 +673,45 @@ mod tests {
         a.flush();
         assert_eq!(a.unreclaimed(), 0);
         a.force_mode(AdaptiveMode::Era);
+    }
+
+    #[test]
+    fn window_peak_rolls_over() {
+        let w = WindowPeak::default();
+        w.note(10);
+        w.note(4);
+        // The watermark does not regress within a window; closing the
+        // window reports its peak and starts a zeroed one.
+        assert_eq!(w.take(), 10);
+        // A calmer second window reports *its* peak: pressure relaxed.
+        w.note(3);
+        assert_eq!(w.take(), 3);
+        // An empty window takes as zero.
+        assert_eq!(w.take(), 0);
+    }
+
+    #[test]
+    fn every_retire_feeds_the_window_peak() {
+        // No ORC_STATS gate on this path (CI also runs the controller
+        // battery with ORC_STATS=0).
+        let a = Adaptive::with_threshold_and_config(
+            1_000_000,
+            AdaptiveConfig {
+                high: 1_000,
+                low: 5,
+                window: usize::MAX,
+            },
+        );
+        for i in 0..7u64 {
+            let p = a.alloc(i);
+            // SAFETY: allocated above, unshared, retired once.
+            unsafe { a.retire(p) };
+        }
+        assert_eq!(a.inner.window_peak.take(), 7);
+        let s = a.stats();
+        assert_eq!((s.allocs, s.retires), (7, 7));
+        a.flush();
+        assert_eq!(a.unreclaimed(), 0);
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //! are freed once two grace periods have elapsed.
 
 use crate::hazard::ExitHooks;
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{EpochPin, LimboBins, RetireLedger};
 use crate::Smr;
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::registry;
-use orc_util::stats::{Event, StatsSnapshot};
+use orc_util::stats::Event;
 use std::sync::Arc;
 
 /// Retires between advance attempts.
@@ -98,7 +98,7 @@ impl Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.limbo.teardown();
+        self.limbo.teardown(&self.ledger);
     }
 }
 
@@ -107,8 +107,8 @@ impl Smr for Ebr {
         "EBR"
     }
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, 0)
+    fn ledger(&self) -> &RetireLedger {
+        &self.inner.ledger
     }
 
     /// Pin: publish the current global epoch (with a full fence, via swap).
@@ -170,14 +170,6 @@ impl Smr for Ebr {
             // SAFETY: owner-only collect on our own tid.
             unsafe { self.inner.limbo.collect(tid, e, &self.inner.ledger) };
         }
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
     }
 
     /// EBR's retire is blocking: a stalled pinned thread stops reclamation.

@@ -22,7 +22,7 @@ use crate::policy::{EraProtect, RetireLedger, ScanList};
 use crate::Smr;
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::registry;
-use orc_util::stats::{Event, StatsSnapshot};
+use orc_util::stats::Event;
 use orc_util::trace::EventKind;
 use orc_util::trace_event_at;
 use std::sync::Arc;
@@ -129,7 +129,7 @@ impl Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.retired.teardown();
+        self.retired.teardown(&self.ledger);
     }
 }
 
@@ -138,8 +138,17 @@ impl Smr for HazardEras {
         "HE"
     }
 
+    fn ledger(&self) -> &RetireLedger {
+        &self.inner.ledger
+    }
+
     fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, self.inner.eras.current())
+        alloc_tracked(
+            &self.inner.ledger,
+            registry::tid(),
+            value,
+            self.inner.eras.current(),
+        )
     }
 
     fn end_op(&self) {
@@ -203,14 +212,6 @@ impl Smr for HazardEras {
         self.inner.ledger.stats().bump(tid, Event::Flush);
         self.inner.eras.advance();
         self.inner.scan(tid);
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
     }
 
     fn is_lock_free(&self) -> bool {

@@ -11,6 +11,7 @@
 //! Hazard *slots*, by contrast, always hold value pointers, because that is
 //! what data structures read from their links and publish.
 
+use crate::policy::RetireLedger;
 use orc_util::atomics::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use orc_util::chk_hooks::{self, ReclaimAction};
 use orc_util::pool;
@@ -168,23 +169,24 @@ impl SmrHeader {
     }
 }
 
-/// Allocates through [`SmrHeader::alloc`] and records the allocation in the
-/// global memory accounting ([`orc_util::track`]).
-pub fn alloc_tracked<T>(value: T, birth_era: u64) -> *mut T {
+/// Allocates through [`SmrHeader::alloc`] and records the allocation (and
+/// its slot bytes) on `tid`'s shard of the owning instance's `ledger`.
+/// `tid` must be the caller's registry tid.
+pub fn alloc_tracked<T>(ledger: &RetireLedger, tid: usize, value: T, birth_era: u64) -> *mut T {
     let p = SmrHeader::alloc(value, birth_era);
     // SAFETY: `p` was just returned by `alloc`, so its header is live.
     let tag = unsafe { (*SmrHeader::of_value(p)).pool_tag };
     let bytes = pool::slot_bytes(Layout::new::<SmrBox<T>>(), tag);
-    orc_util::track::global().on_alloc(bytes);
-    orc_util::trace_event!(trace::EventKind::Alloc, p as usize, bytes);
+    ledger.stats().on_alloc(tid, bytes);
+    orc_util::trace_event_at!(tid, trace::EventKind::Alloc, p as usize, bytes);
     p
 }
 
 /// Retirement bookkeeping shared by every manual scheme: stamps the
 /// retire instant into the header (consumed later by
 /// [`record_reclaim_delay`]) and emits a `Retire{addr,seq}` trace event
-/// carrying the process-wide retire sequence number. Compiles down to
-/// two latched-flag checks when both orc-stats and orc-trace are off.
+/// carrying `tid`'s retire sequence number. Compiles down to two
+/// latched-flag checks when both orc-stats and orc-trace are off.
 ///
 /// # Safety
 /// `h` must be a live header owned by the retiring thread (`tid` is the
@@ -202,7 +204,7 @@ pub unsafe fn mark_retired(tid: usize, h: *mut SmrHeader) {
             tid,
             trace::EventKind::Retire,
             addr as u64,
-            trace::next_retire_seq(),
+            trace::next_retire_seq(tid),
         );
     }
 }
@@ -227,14 +229,16 @@ pub unsafe fn record_reclaim_delay(
     }
 }
 
-/// Destroys a header-carrying object and records the free.
+/// Destroys a header-carrying object and records the free on `tid`'s
+/// shard of the owning instance's `ledger`.
 ///
 /// # Safety
-/// Same contract as [`SmrHeader::destroy`].
-pub unsafe fn destroy_tracked(h: *mut SmrHeader) {
+/// Same contract as [`SmrHeader::destroy`]; `tid` must be the caller's
+/// registry tid.
+pub unsafe fn destroy_tracked(ledger: &RetireLedger, tid: usize, h: *mut SmrHeader) {
     // SAFETY: forwarded contract — live and unreachable.
     let bytes = unsafe { SmrHeader::destroy(h) };
-    orc_util::track::global().on_free(bytes);
+    ledger.stats().on_free(tid, bytes);
 }
 
 /// Views an `AtomicPtr<T>` as the `AtomicUsize` word the schemes operate on.

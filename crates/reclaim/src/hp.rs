@@ -13,12 +13,12 @@
 //! object's value word appears in a published slot".
 
 use crate::hazard::ExitHooks;
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{PointerProtect, RetireLedger, ScanList};
 use crate::Smr;
 use orc_util::atomics::AtomicUsize;
 use orc_util::registry;
-use orc_util::stats::{Event, StatsSnapshot};
+use orc_util::stats::Event;
 use std::sync::Arc;
 
 struct Inner {
@@ -115,7 +115,7 @@ impl Inner {
 impl Drop for Inner {
     fn drop(&mut self) {
         // Exclusive access: free everything still deferred.
-        self.retired.teardown();
+        self.retired.teardown(&self.ledger);
     }
 }
 
@@ -124,8 +124,8 @@ impl Smr for HazardPointers {
         "HP"
     }
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, 0)
+    fn ledger(&self) -> &RetireLedger {
+        &self.inner.ledger
     }
 
     fn end_op(&self) {
@@ -172,14 +172,6 @@ impl Smr for HazardPointers {
         let tid = self.attach();
         self.inner.ledger.stats().bump(tid, Event::Flush);
         self.inner.scan(tid);
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
     }
 
     fn is_lock_free(&self) -> bool {

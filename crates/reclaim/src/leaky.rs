@@ -12,19 +12,16 @@
 //! harness's leak ledger) clean at teardown.
 //!
 //! In policy terms (see [`crate::policy`]): no protection policy, no
-//! reclamation policy — only the [`RetireLedger`]'s counters, and even
-//! those on a guarded path so the baseline's hot retire stays a single
-//! `fetch_add` when stats are off (the unguarded ledger prologue would
-//! call `registry::tid()` unconditionally, whose registration side effect
-//! this baseline must not pay for).
+//! reclamation policy — only the [`RetireLedger`], whose counters are the
+//! baseline's leak accounting.
 
 use crate::hazard::OrphanStack;
-use crate::header::{mark_retired, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{teardown_free, RetireLedger};
 use crate::Smr;
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::stats::{self, StatsSnapshot};
-use orc_util::{registry, stall, track};
+use orc_util::stats::Event;
+use orc_util::{registry, stall};
 use std::sync::Arc;
 
 struct Inner {
@@ -36,10 +33,11 @@ struct Inner {
 impl Drop for Inner {
     fn drop(&mut self) {
         // Exclusive access at teardown: the leak ends with the scheme.
+        let me = registry::tid();
         for h in self.retired.drain() {
             // SAFETY: `&mut self` in `drop` proves no user remains; every
             // parked retiree is exclusively ours and freed exactly once.
-            unsafe { teardown_free(h) };
+            unsafe { teardown_free(&self.ledger, me, h) };
         }
     }
 }
@@ -79,8 +77,8 @@ impl Smr for Leaky {
         "None"
     }
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        crate::header::alloc_tracked(value, 0)
+    fn ledger(&self) -> &RetireLedger {
+        &self.inner.ledger
     }
 
     #[inline]
@@ -101,47 +99,24 @@ impl Smr for Leaky {
     fn clear(&self, _idx: usize) {}
 
     unsafe fn retire<T: Send>(&self, ptr: *mut T) {
-        let now = self.inner.ledger.gauge_add_one();
-        if stats::enabled() {
-            self.inner.ledger.record_retire(registry::tid(), now as u64);
-        }
-        track::global().on_retire();
         // SAFETY: `ptr` came from `Smr::alloc` (retire's contract), so it
         // is the value field of a live tracked allocation.
         let h = unsafe { SmrHeader::of_value(ptr) };
-        orc_util::chk_hooks::on_retire(h as usize);
-        if stats::enabled() || orc_util::trace::enabled() {
-            // SAFETY: `h` is the live header just recovered from `ptr`.
-            unsafe { mark_retired(registry::tid(), h) };
-        }
+        // SAFETY: `h` is the live header just recovered from `ptr`,
+        // retired exactly once by this thread.
+        unsafe { self.inner.ledger.on_retire(registry::tid(), h) };
         // SAFETY: pushing transfers the retired object's ownership to the
         // parked stack; it is never freed before `Inner::drop`.
         unsafe { self.inner.retired.push(h) };
     }
 
-    unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
-        // SAFETY: `ptr` came from `Smr::alloc` and the caller guarantees
-        // exclusive ownership (dealloc_now's contract).
-        unsafe { crate::header::destroy_tracked(SmrHeader::of_value(ptr)) };
-    }
-
     fn flush(&self) {
         // Nothing to reclaim — the pass is still counted so consumers can
         // see the baseline was flushed like every other scheme.
-        if stats::enabled() {
-            self.inner
-                .ledger
-                .stats()
-                .bump(registry::tid(), orc_util::stats::Event::Flush);
-        }
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
+        self.inner
+            .ledger
+            .stats()
+            .bump(registry::tid(), Event::Flush);
     }
 
     fn is_lock_free(&self) -> bool {
@@ -195,6 +170,9 @@ mod tests {
             }
             assert_eq!(drops.load(Ordering::SeqCst), 0, "no frees while alive");
             assert_eq!(l.unreclaimed(), 10);
+            // The stash is the whole live set: balanced means
+            // allocs − frees == unreclaimed().
+            assert_eq!(l.stats().live_objects(), 10);
         }
         assert_eq!(
             drops.load(Ordering::SeqCst),
@@ -217,5 +195,7 @@ mod tests {
         // SAFETY: allocated above and never shared — exclusive ownership.
         unsafe { l.dealloc_now(p) };
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+        let s = l.stats();
+        assert_eq!((s.allocs, s.frees, s.live_bytes()), (1, 1, 0));
     }
 }

@@ -71,6 +71,8 @@ pub use ptp::PassThePointer;
 pub use scheme_kind::{AnySmr, SchemeKind};
 
 use orc_util::atomics::{AtomicPtr, AtomicUsize};
+use orc_util::registry;
+use policy::RetireLedger;
 
 /// Maximum hazard slots (the paper's `H`) a data structure may use per
 /// thread under the manual schemes. Lists/queues need ≤ 3; the NM-tree uses
@@ -96,9 +98,17 @@ pub trait Smr: Send + Sync + 'static {
     /// Human-readable scheme name, as used in the paper's figure legends.
     fn name(&self) -> &'static str;
 
+    /// This instance's accounting spine: the `unreclaimed` gauge and the
+    /// per-thread ledger every alloc, retire, reclaim and free of its
+    /// objects is counted on.
+    fn ledger(&self) -> &RetireLedger;
+
     /// Allocates a tracked object; returns the value pointer the structure
-    /// links and publishes.
-    fn alloc<T: Send>(&self, value: T) -> *mut T;
+    /// links and publishes. Era-based schemes override it to stamp the
+    /// birth era.
+    fn alloc<T: Send>(&self, value: T) -> *mut T {
+        header::alloc_tracked(self.ledger(), registry::tid(), value, 0)
+    }
 
     /// Marks the start of a data-structure operation. No-op for
     /// pointer-based schemes (bar the fault-injection point); pins the
@@ -137,15 +147,19 @@ pub trait Smr: Send + Sync + 'static {
     /// See the trait-level contract.
     unsafe fn retire<T: Send>(&self, ptr: *mut T);
 
-    /// Immediately destroys an object, bypassing deferral.
+    /// Immediately destroys an object, bypassing deferral (the free is
+    /// counted in this instance's ledger).
     ///
     /// # Safety
     /// Caller must guarantee quiescence (no concurrent readers), e.g. inside
     /// a structure's `Drop` with `&mut self`.
     unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
-        // SAFETY: `ptr` came from `Smr::alloc` and the caller guarantees
-        // quiescence (this method's contract) — exclusive, freed once.
-        unsafe { header::destroy_tracked(SmrHeader::of_value(ptr)) };
+        // SAFETY: `ptr` came from `Smr::alloc` of this instance and the
+        // caller guarantees quiescence (this method's contract) —
+        // exclusive, freed once.
+        unsafe {
+            header::destroy_tracked(self.ledger(), registry::tid(), SmrHeader::of_value(ptr))
+        };
     }
 
     /// Attempts to reclaim everything reclaimable right now (drains retired
@@ -154,18 +168,22 @@ pub trait Smr: Send + Sync + 'static {
     fn flush(&self);
 
     /// Objects currently retired by this instance but not yet freed.
-    fn unreclaimed(&self) -> usize;
+    fn unreclaimed(&self) -> usize {
+        self.ledger().unreclaimed()
+    }
 
-    /// Aggregated reclamation telemetry for this scheme instance: retire
-    /// and reclaim counts, scan/flush passes, protect validation retries,
-    /// handovers, batch-size histogram and the peak of
-    /// [`Smr::unreclaimed`]. All zeros when `ORC_STATS=0`.
+    /// This scheme instance's ledger and telemetry: alloc/free counts and
+    /// slot bytes, retire and reclaim counts, scan/flush passes, protect
+    /// validation retries, handovers (always counted), plus the
+    /// batch-size and delay histograms and the peak of
+    /// [`Smr::unreclaimed`] (zero when `ORC_STATS=0`).
     ///
     /// At quiescence every scheme satisfies `reclaims ≤ retires` and
-    /// `retires − reclaims == unreclaimed()` (asserted by the torture
-    /// battery's invariant tests).
+    /// `retires − reclaims == unreclaimed()`, and once the structure has
+    /// dropped its live nodes `allocs − frees == unreclaimed()` (asserted
+    /// by the torture battery's invariant tests).
     fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::default()
+        self.ledger().snapshot()
     }
 
     /// Whether `retire` has lock-free (or better) progress, as claimed in

@@ -25,8 +25,8 @@
 //!
 //! [`RetireLedger`] is the third, shared ingredient: the exactness
 //! contract of orc-stats (every `unreclaimed += 1` paired with a
-//! `Retire` event, every decrement with a `Reclaim`), the global memory
-//! tracker, and the trace emission order (`ScanBegin` → per-object frees
+//! `Retire` event, every decrement with a `Reclaim`), the instance's
+//! alloc/free ledger, and the trace emission order (`ScanBegin` → per-object frees
 //! → `ReclaimBatch` → `ScanEnd`) live here once instead of six times.
 //! The concrete schemes are thin compositions of these pieces; their
 //! public behavior — names, stats fields, trace event kinds — is

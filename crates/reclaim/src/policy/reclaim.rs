@@ -3,8 +3,11 @@
 //!
 //! The ledger owns the two invariants the rest of the workspace builds
 //! on: the orc-stats exactness contract (every `unreclaimed += 1` pairs
-//! with a `Retire` event, every decrement with a `Reclaim`, so
-//! `retires − reclaims == unreclaimed()` at quiescence) and the trace
+//! with a `Retire` event, every decrement with a `Reclaim`, and every
+//! tracked alloc and free of the instance's objects is counted, so
+//! `retires − reclaims == unreclaimed()` and, once the structure has
+//! dropped its live nodes, `allocs − frees == unreclaimed()` at
+//! quiescence) and the trace
 //! emission order (`ScanBegin` → per-object frees → `ReclaimBatch` →
 //! `ScanEnd`). [`ScanList`] and [`LimboBins`] are the two in-tree
 //! reclamation shapes; PTB/PTP's handoff matrices live in their scheme
@@ -16,12 +19,12 @@ use crate::MAX_HPS;
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
-use orc_util::{registry, trace_event_at, track};
+use orc_util::{registry, trace_event_at};
 
 /// The shared retire/free bookkeeping of every manual scheme: the
-/// `unreclaimed` gauge, the per-instance [`SchemeStats`], the global
-/// memory tracker and the shadow-heap hooks, sequenced identically to
-/// the pre-split schemes.
+/// `unreclaimed` gauge, the per-instance [`SchemeStats`] (the instance's
+/// whole ledger — alloc/free counts and bytes included) and the
+/// shadow-heap hooks.
 pub struct RetireLedger {
     unreclaimed: AtomicUsize,
     stats: SchemeStats,
@@ -53,7 +56,7 @@ impl RetireLedger {
 
     /// The retire prologue shared by every scheme: shadow-heap hook,
     /// retire stamp + trace event, gauge increment, `Retire` count and
-    /// watermark, global tracker. Returns the new gauge value.
+    /// watermark. Returns the new gauge value.
     ///
     /// # Safety
     /// `h` must be a live header owned by the retiring thread (`tid` is
@@ -66,24 +69,7 @@ impl RetireLedger {
         let now = self.unreclaimed.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.bump(tid, Event::Retire);
         self.stats.note_unreclaimed(now as u64);
-        track::global().on_retire();
         now
-    }
-
-    /// Bare gauge increment, for the leaky baseline's guarded retire
-    /// path (which keeps stats work out of the hot path entirely when
-    /// recording is off). Returns the new gauge value.
-    #[inline]
-    pub fn gauge_add_one(&self) -> usize {
-        self.unreclaimed.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The stats half of a retire (`Retire` count + watermark) for
-    /// callers that drive the gauge themselves.
-    #[inline]
-    pub fn record_retire(&self, tid: usize, now: u64) {
-        self.stats.bump(tid, Event::Retire);
-        self.stats.note_unreclaimed(now);
     }
 
     /// One caller-latched delay clock per scan pass (a single
@@ -97,8 +83,8 @@ impl RetireLedger {
         }
     }
 
-    /// Frees one scanned-out object: delay histogram, destructor, gauge
-    /// decrement, global tracker — the HP/HE per-object free sequence.
+    /// Frees one scanned-out object: delay histogram, destructor and free
+    /// count, gauge decrement — the HP/HE per-object free sequence.
     ///
     /// # Safety
     /// `h` must be a retired, unreachable header freed exactly once.
@@ -107,9 +93,8 @@ impl RetireLedger {
         // SAFETY: `h` is still live here (freed on the next line).
         unsafe { record_reclaim_delay(&self.stats, tid, h, delay_now) };
         // SAFETY: forwarded contract — retired, unreachable, freed once.
-        unsafe { destroy_tracked(h) };
+        unsafe { destroy_tracked(self, tid, h) };
         self.unreclaimed.fetch_sub(1, Ordering::Relaxed);
-        track::global().on_reclaim();
     }
 
     /// Frees one object of a deferred batch *without* touching the gauge
@@ -122,8 +107,7 @@ impl RetireLedger {
         // SAFETY: `h` is still live here (freed on the next line).
         unsafe { record_reclaim_delay(&self.stats, tid, h, delay_now) };
         // SAFETY: forwarded contract — retired, unreachable, freed once.
-        unsafe { destroy_tracked(h) };
-        track::global().on_reclaim();
+        unsafe { destroy_tracked(self, tid, h) };
     }
 
     /// Settles the gauge for a batch freed via [`Self::free_deferred`].
@@ -159,16 +143,17 @@ impl Default for RetireLedger {
 }
 
 /// Frees one retired header at instance teardown (`Drop` paths): the
-/// destructor plus the global tracker, no stats (the instance is gone).
+/// destructor and its free count; the gauge and `Reclaim` count are left
+/// alone (the instance is going away with them).
 ///
 /// # Safety
-/// The caller must hold exclusive access (teardown), and `h` must be a
-/// live retired header freed exactly once.
+/// The caller must hold exclusive access (teardown), `h` must be a live
+/// retired header freed exactly once, and `tid` the caller's registry
+/// tid.
 #[inline]
-pub unsafe fn teardown_free(h: *mut SmrHeader) {
+pub unsafe fn teardown_free(ledger: &RetireLedger, tid: usize, h: *mut SmrHeader) {
     // SAFETY: forwarded contract — exclusive teardown access, freed once.
-    unsafe { destroy_tracked(h) };
-    track::global().on_reclaim();
+    unsafe { destroy_tracked(ledger, tid, h) };
 }
 
 /// Per-thread retired state of a [`ScanList`].
@@ -325,19 +310,20 @@ impl ScanList {
 
     /// Destroys everything still deferred — the `Drop` path. `&mut self`
     /// proves exclusivity.
-    pub fn teardown(&mut self) {
+    pub fn teardown(&mut self, ledger: &RetireLedger) {
+        let me = registry::tid();
         for tid in 0..self.threads.len() {
             // SAFETY: `&mut self` is exclusive access to every row.
             let st = unsafe { self.threads.get_mut(tid) };
             for h in st.list.drain(..) {
                 // SAFETY: no user of the scheme remains; every retired
                 // header is unreachable and freed exactly once.
-                unsafe { teardown_free(h) };
+                unsafe { teardown_free(ledger, me, h) };
             }
         }
         for h in self.orphans.drain() {
             // SAFETY: as above — teardown owns the orphans exclusively.
-            unsafe { teardown_free(h) };
+            unsafe { teardown_free(ledger, me, h) };
         }
     }
 }
@@ -452,7 +438,8 @@ impl LimboBins {
     }
 
     /// Destroys everything still parked — the `Drop` path.
-    pub fn teardown(&mut self) {
+    pub fn teardown(&mut self, ledger: &RetireLedger) {
+        let me = registry::tid();
         for tid in 0..self.threads.len() {
             // SAFETY: `&mut self` is exclusive access to every row.
             let st = unsafe { self.threads.get_mut(tid) };
@@ -460,13 +447,13 @@ impl LimboBins {
                 for h in bin.drain(..) {
                     // SAFETY: all users are gone; every retired object is
                     // now unreachable and destroyed exactly once.
-                    unsafe { teardown_free(h) };
+                    unsafe { teardown_free(ledger, me, h) };
                 }
             }
         }
         for h in self.orphans.drain() {
             // SAFETY: as above — orphaned retirees are exclusively ours.
-            unsafe { teardown_free(h) };
+            unsafe { teardown_free(ledger, me, h) };
         }
     }
 }
@@ -486,7 +473,7 @@ mod tests {
     fn ledger_pairs_gauge_with_events() {
         let ledger = RetireLedger::new();
         let tid = registry::tid();
-        let p = alloc_tracked(7u64, 0);
+        let p = alloc_tracked(&ledger, tid, 7u64, 0);
         // SAFETY: `p` was just allocated, unshared; retired exactly once.
         let h = unsafe { SmrHeader::of_value(p) };
         // SAFETY: live header owned by this thread.
@@ -503,6 +490,7 @@ mod tests {
         assert_eq!(s.reclaims, 1);
         assert_eq!(s.scans, 1);
         assert_eq!(s.outstanding(), 0);
+        assert_eq!((s.allocs, s.frees, s.live_bytes()), (1, 1, 0));
     }
 
     #[test]
@@ -510,8 +498,8 @@ mod tests {
         let ledger = RetireLedger::new();
         let list = ScanList::new(4);
         let tid = registry::tid();
-        let keep_me = alloc_tracked(1u64, 0) as usize;
-        let free_me = alloc_tracked(2u64, 0);
+        let keep_me = alloc_tracked(&ledger, tid, 1u64, 0) as usize;
+        let free_me = alloc_tracked(&ledger, tid, 2u64, 0);
         // SAFETY: both freshly allocated and unshared; each retired once.
         unsafe {
             let hk = SmrHeader::of_value(keep_me as *mut u64);
@@ -553,7 +541,7 @@ mod tests {
         let ledger = RetireLedger::new();
         let bins = LimboBins::new();
         let tid = registry::tid();
-        let p = alloc_tracked(9u64, 0);
+        let p = alloc_tracked(&ledger, tid, 9u64, 0);
         // SAFETY: freshly allocated, unshared; retired once.
         unsafe {
             let h = SmrHeader::of_value(p);
@@ -579,7 +567,7 @@ mod tests {
         let mut list = ScanList::new(0);
         let tid = registry::tid();
         for i in 0..3u64 {
-            let p = alloc_tracked(i, 0);
+            let p = alloc_tracked(&ledger, tid, i, 0);
             // SAFETY: freshly allocated, unshared; retired once, then
             // owned by the list until teardown.
             unsafe {
@@ -588,9 +576,12 @@ mod tests {
                 list.push(tid, h);
             }
         }
-        list.teardown();
+        list.teardown(&ledger);
         // The gauge intentionally survives teardown (the instance is
-        // gone); the ledger recorded 3 retires and no scan-side frees.
-        assert_eq!(ledger.snapshot().retires, 3);
+        // gone); the ledger recorded 3 retires, no scan-side reclaims,
+        // and the 3 frees.
+        let s = ledger.snapshot();
+        assert_eq!((s.retires, s.reclaims), (3, 0));
+        assert_eq!((s.allocs, s.frees, s.live_bytes()), (3, 3, 0));
     }
 }

@@ -23,12 +23,12 @@
 //! [`RetireLedger`] spine and a [`ScanList`] candidate store.
 
 use crate::hazard::ExitHooks;
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{teardown_free, PointerProtect, RetireLedger, ScanList};
 use crate::{Smr, MAX_HPS};
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::dwcas::{pack, unpack, AtomicU128};
-use orc_util::stats::{Event, StatsSnapshot};
+use orc_util::stats::Event;
 use orc_util::trace::EventKind;
 use orc_util::{registry, trace_event_at, CachePadded};
 use std::sync::Arc;
@@ -219,7 +219,8 @@ impl Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.retired.teardown();
+        self.retired.teardown(&self.ledger);
+        let me = registry::tid();
         for row in self.handoff.iter() {
             for slot in row.iter() {
                 let (ptr, _) = unpack(slot.load());
@@ -227,7 +228,7 @@ impl Drop for Inner {
                     // SAFETY: a handed-off value is a retired object owned
                     // by its slot; with all users gone it is exclusively
                     // ours and freed exactly once.
-                    unsafe { teardown_free(ptr as *mut SmrHeader) };
+                    unsafe { teardown_free(&self.ledger, me, ptr as *mut SmrHeader) };
                 }
             }
         }
@@ -239,8 +240,8 @@ impl Smr for PassTheBuck {
         "PTB"
     }
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, 0)
+    fn ledger(&self) -> &RetireLedger {
+        &self.inner.ledger
     }
 
     fn end_op(&self) {
@@ -290,14 +291,6 @@ impl Smr for PassTheBuck {
         let tid = self.attach();
         self.inner.ledger.stats().bump(tid, Event::Flush);
         self.inner.liberate(tid);
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
     }
 
     fn is_lock_free(&self) -> bool {

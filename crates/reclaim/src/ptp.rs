@@ -32,11 +32,11 @@
 //! immediate or delegated.
 
 use crate::hazard::{ExitHooks, SlotArray};
-use crate::header::{alloc_tracked, SmrHeader};
+use crate::header::SmrHeader;
 use crate::policy::{teardown_free, PointerProtect, RetireLedger};
 use crate::{Smr, MAX_HPS};
 use orc_util::atomics::{AtomicUsize, Ordering};
-use orc_util::stats::{Event, StatsSnapshot};
+use orc_util::stats::Event;
 use orc_util::trace::EventKind;
 use orc_util::{registry, trace_event_at};
 use std::sync::Arc;
@@ -178,6 +178,7 @@ impl Inner {
 impl Drop for Inner {
     fn drop(&mut self) {
         // Exclusive access at teardown: anything still parked is freed.
+        let me = registry::tid();
         for tid in 0..registry::max_threads() {
             for idx in 0..MAX_HPS {
                 // Teardown: `&mut self` is exclusive, no ordering needed.
@@ -186,7 +187,7 @@ impl Drop for Inner {
                     // SAFETY: `&mut self` in `drop` proves no thread still
                     // uses the scheme; a parked object is owned by its
                     // entry and freed exactly once.
-                    unsafe { teardown_free(parked as *mut SmrHeader) };
+                    unsafe { teardown_free(&self.ledger, me, parked as *mut SmrHeader) };
                 }
             }
         }
@@ -198,8 +199,8 @@ impl Smr for PassThePointer {
         "PTP"
     }
 
-    fn alloc<T: Send>(&self, value: T) -> *mut T {
-        alloc_tracked(value, 0)
+    fn ledger(&self) -> &RetireLedger {
+        &self.inner.ledger
     }
 
     fn end_op(&self) {
@@ -252,14 +253,6 @@ impl Smr for PassThePointer {
                 self.inner.clear_slot(tid, idx);
             }
         }
-    }
-
-    fn unreclaimed(&self) -> usize {
-        self.inner.ledger.unreclaimed()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.ledger.snapshot()
     }
 
     fn is_lock_free(&self) -> bool {

@@ -18,7 +18,7 @@
 //! irrelevant for the torture/equivalence harnesses this exists for;
 //! throughput benches that care can still monomorphize per scheme.
 
-use crate::stats::StatsSnapshot;
+use crate::policy::RetireLedger;
 use crate::{Adaptive, Ebr, HazardEras, HazardPointers, Leaky, PassTheBuck, PassThePointer, Smr};
 use orc_util::atomics::{AtomicPtr, AtomicUsize};
 
@@ -214,6 +214,10 @@ impl Smr for AnySmr {
         on_scheme!(self, s => s.name())
     }
 
+    fn ledger(&self) -> &RetireLedger {
+        on_scheme!(self, s => s.ledger())
+    }
+
     fn alloc<T: Send>(&self, value: T) -> *mut T {
         on_scheme!(self, s => s.alloc(value))
     }
@@ -249,21 +253,8 @@ impl Smr for AnySmr {
         on_scheme!(self, s => unsafe { s.retire(ptr) })
     }
 
-    unsafe fn dealloc_now<T>(&self, ptr: *mut T) {
-        // SAFETY: forwards this method's own contract to the inner scheme.
-        on_scheme!(self, s => unsafe { s.dealloc_now(ptr) })
-    }
-
     fn flush(&self) {
         on_scheme!(self, s => s.flush())
-    }
-
-    fn unreclaimed(&self) -> usize {
-        on_scheme!(self, s => s.unreclaimed())
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        on_scheme!(self, s => s.stats())
     }
 
     fn is_lock_free(&self) -> bool {

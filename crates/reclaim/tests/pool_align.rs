@@ -9,8 +9,7 @@
 //! within one size class, asserting alignment on every pointer observed.
 
 use orc_util::atomics::{AtomicPtr, Ordering};
-use reclaim::header::{alloc_tracked, destroy_tracked};
-use reclaim::{HazardPointers, Smr, SmrHeader};
+use reclaim::{HazardPointers, Smr};
 
 #[repr(align(64))]
 struct Cache64 {
@@ -63,46 +62,50 @@ fn cross_type_recycling_in_one_class_keeps_alignment() {
     // slots freed under one type are re-offered to the other; the class
     // invariant (slots aligned to the slot size ≥ any requestable align)
     // must hold for both directions.
+    let s = HazardPointers::new();
     for round in 0..128u64 {
-        let p64 = alloc_tracked(Cache64 { v: round }, 0);
+        let p64 = s.alloc(Cache64 { v: round });
         assert_eq!(p64 as usize % 64, 0, "Cache64 misaligned");
         // SAFETY: `p64` is live; reading our own fresh value.
         assert_eq!(unsafe { (*p64).v }, round);
         // SAFETY: unshared; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p64)) };
+        unsafe { s.dealloc_now(p64) };
 
-        let p128 = alloc_tracked(Cache128 { v: round }, 0);
+        let p128 = s.alloc(Cache128 { v: round });
         assert_eq!(p128 as usize % 128, 0, "Cache128 misaligned");
         // SAFETY: `p128` is live; reading our own fresh value.
         assert_eq!(unsafe { (*p128).v }, round);
         // SAFETY: unshared; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p128)) };
+        unsafe { s.dealloc_now(p128) };
     }
+    assert_eq!(s.stats().live_bytes(), 0);
 }
 
 #[test]
 fn mixed_alignment_batches_recycle_cleanly() {
     // Hold a whole batch live (forcing page carves), free it all, then
     // re-allocate the other alignment over the recycled slots.
+    let s = HazardPointers::new();
     let mut batch64 = Vec::new();
     for i in 0..64u64 {
-        batch64.push(alloc_tracked(Cache64 { v: i }, 0));
+        batch64.push(s.alloc(Cache64 { v: i }));
     }
     for p in &batch64 {
         assert_eq!(*p as usize % 64, 0);
     }
     for p in batch64 {
         // SAFETY: allocated above, unshared; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p)) };
+        unsafe { s.dealloc_now(p) };
     }
     let mut batch128 = Vec::new();
     for i in 0..64u64 {
-        let p = alloc_tracked(Cache128 { v: i }, 0);
+        let p = s.alloc(Cache128 { v: i });
         assert_eq!(p as usize % 128, 0, "recycled slot misaligned for 128");
         batch128.push(p);
     }
     for p in batch128 {
         // SAFETY: allocated above, unshared; destroyed exactly once.
-        unsafe { destroy_tracked(SmrHeader::of_value(p)) };
+        unsafe { s.dealloc_now(p) };
     }
+    assert_eq!(s.stats().live_bytes(), 0);
 }

@@ -13,8 +13,10 @@
 //!    with the churn — the paper's Table 1 bounds, asserted
 //!    ([`assert_stall_profile`] dispatches on [`SchemeKind::is_bounded`]).
 //! 2. **Leak ledger** ([`churn_set_cell`] and friends) — every
-//!    (scheme × structure) cell churns under a [`orc_util::track::Ledger`]
-//!    and must end with allocations == frees after `flush()` + drop.
+//!    (scheme × structure) cell churns and must end balanced on its own
+//!    instance's ledger ([`assert_balanced`]): after `flush()` and the
+//!    structure's drop, `allocs − frees == retires − reclaims ==
+//!    unreclaimed()`.
 //! 3. **Oversubscription soak** ([`soak_set_cell`]) — waves of
 //!    short-lived threads (threads ≫ cores) hammer one structure,
 //!    exercising registry tid reuse and thread-exit orphan handoff.
@@ -25,7 +27,9 @@
 //! Every battery consumes registry cells ([`structures::registry::SetCell`]
 //! / [`QueueCell`]) through one sweep path ([`ledgered_set_cell`] /
 //! [`ledgered_queue_cell`]) that owns the ledger/drain/teardown protocol
-//! for both the manual schemes and the OrcGC domain.
+//! for both the manual schemes and the OrcGC domain. The sections that
+//! read process-wide totals — the OrcGC domain and the slab pool are
+//! singletons — serialize on one lock ([`exclusive`]).
 //!
 //! The `torture` binary drives the full battery for CI soak runs, scaled
 //! by the `TORTURE_ITERS` / `TORTURE_THREADS` environment knobs and
@@ -40,12 +44,46 @@ use orc_util::registry;
 use orc_util::rng::XorShift64;
 use orc_util::stall::{self, Gate, StallPoint};
 use orc_util::trace;
-use orc_util::track::Ledger;
 use reclaim::{SchemeKind, Smr, StatsSnapshot, MAX_HPS};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use structures::registry::{DynQueue, DynSet, MakeQueue, MakeSet, QueueCell, SetCell};
 use structures::{ConcurrentQueue, ConcurrentSet};
+
+/// Serializes the sections that read process-wide totals. The OrcGC
+/// domain and the slab pool are process singletons, so an OrcGC cell's
+/// domain delta and any cell's pool delta are attributable to that cell
+/// only while nothing else in the process allocates. Every helper here
+/// that allocates takes it ([`ledgered_set_cell`], [`ledgered_queue_cell`],
+/// [`stalled_reader_churn`]); a test that allocates directly in a binary
+/// that also runs those helpers takes it too. Not reentrant: never call
+/// a locking helper while holding it. Manual-scheme ledgers are per
+/// instance and need no lock.
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Asserts ledger exactness at quiescence for one instance (or an OrcGC
+/// domain delta): `retires − reclaims == unreclaimed` and `allocs −
+/// frees == unreclaimed`, with no live bytes once nothing is live. Call
+/// it after the structure dropped its live nodes — what is left is
+/// exactly the retired-but-unfreed set (the leaky baseline's stash).
+pub fn assert_balanced(label: &str, s: &StatsSnapshot, unreclaimed: u64) {
+    let outstanding = s.retires.checked_sub(s.reclaims);
+    assert!(
+        outstanding == Some(unreclaimed)
+            && s.live_objects() == unreclaimed as i64
+            && (unreclaimed != 0 || s.live_bytes() == 0),
+        "{label}: ledger unbalanced — {} allocs vs {} frees ({:+} live bytes), \
+         {} retires vs {} reclaims, {unreclaimed} unreclaimed",
+        s.allocs,
+        s.frees,
+        s.live_bytes(),
+        s.retires,
+        s.reclaims,
+    );
+}
 
 /// Battery sizing, from the environment (`TORTURE_*`) or fixed defaults.
 #[derive(Debug, Clone)]
@@ -147,8 +185,9 @@ pub struct StallReport {
     /// Whether `unreclaimed()` reached 0 after the victim was released
     /// (always `false` for the leaky baseline).
     pub drained: bool,
-    /// The scheme's orc-stats snapshot taken after the drain attempt (all
-    /// zeros when `ORC_STATS=0`).
+    /// The scheme's ledger snapshot at the end of the run, after the
+    /// drain attempt and the residual nodes' frees (histograms and peak
+    /// are zero when `ORC_STATS=0`).
     pub stats: StatsSnapshot,
 }
 
@@ -195,8 +234,11 @@ pub fn assert_stall_profile(kind: SchemeKind, r: &StallReport, writers: usize) {
 ///
 /// The victim dereferences its protected pointer *after* the writers have
 /// retired it and churned past — the use-after-free check TSan/ASan bite
-/// on if a scheme frees protected memory.
+/// on if a scheme frees protected memory. The run ends by asserting the
+/// scheme's ledger balanced ([`assert_balanced`]): the stall path itself
+/// leaks nothing once the victim resumes.
 pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64) -> StallReport {
+    let _serial = exclusive();
     trace::install_flight_recorder();
     let scheme = smr.name();
     let gate = Gate::new();
@@ -272,7 +314,6 @@ pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64)
     );
 
     let drained = drain(&smr, 400);
-    let stats = smr.stats();
 
     // Quiescent now: free the nodes still sitting in the shared slots.
     for slot in slots.iter() {
@@ -281,6 +322,8 @@ pub fn stalled_reader_churn<S: Smr + Clone>(smr: S, writers: usize, rounds: u64)
         // this is the sole owner freeing each residual node once.
         unsafe { smr.dealloc_now(w as *mut u64) };
     }
+    let stats = smr.stats();
+    assert_balanced(&format!("{scheme}/stall"), &stats, smr.unreclaimed() as u64);
 
     StallReport {
         scheme,
@@ -490,27 +533,30 @@ fn watchdog_run(kind: SchemeKind, rounds: u64, stall: bool) -> (u64, u64) {
 // cell, manual or OrcGC.
 // ---------------------------------------------------------------------
 
-/// Runs `body` against a freshly built set for one registry cell, under
-/// the leak ledger, with the full teardown protocol:
+/// Runs `body` against a freshly built set for one registry cell, with
+/// the full teardown protocol, under [`exclusive`]:
 ///
 /// * **manual cells** — build the scheme from the cell's axis, churn,
-///   [`drain`] to `unreclaimed() == 0` (reclaiming schemes), snapshot
-///   stats, drop the last scheme handle, assert the ledger balanced;
+///   [`drain`] to `unreclaimed() == 0` (reclaiming schemes), drop the
+///   structure, assert the instance's ledger balanced, drop the last
+///   scheme handle (which frees the leaky baseline's stash);
 /// * **OrcGC cells** — churn, then flush this thread's handover slots
-///   until the ledger settles; the returned snapshot is the *delta* of
-///   [`orcgc::domain_stats`] (the domain is process-global).
+///   until the domain's ledger delta settles balanced; the returned
+///   snapshot is that *delta* of [`orcgc::domain_stats`] (the domain is
+///   process-global), taken from a base read inside the lock.
 ///
+/// Either way the pool must end with no slot of the cell still live.
 /// This is the one place the ledger/drain/teardown discipline lives —
 /// every battery (churn, soak, ABA) layers a different `body` over it.
 pub fn ledgered_set_cell<R>(cell: &SetCell, body: impl FnOnce(&DynSet) -> R) -> (R, StatsSnapshot) {
+    let _serial = exclusive();
     trace::install_flight_recorder();
     let label = cell.label();
-    match cell.make {
+    let pool_base = pool::snapshot();
+    let (r, stats) = match cell.make {
         MakeSet::Manual(make) => {
             let kind = cell.scheme.manual().expect("manual cell");
             let smr = kind.build();
-            let ledger = Ledger::open();
-            let pool_base = pool::snapshot();
             let r;
             {
                 let set = make(smr.clone());
@@ -523,29 +569,20 @@ pub fn ledgered_set_cell<R>(cell: &SetCell, body: impl FnOnce(&DynSet) -> R) -> 
                     );
                 }
             }
-            let stats = smr.stats();
-            // The structure freed its remaining nodes in Drop; the last
-            // scheme handle frees anything still parked (the leaky
-            // baseline's stash).
-            drop(smr);
-            ledger.assert_balanced(&label);
-            assert_pool_drained(&pool_base, &label);
-            (r, stats)
+            (r, settle_manual(smr, &label))
         }
         MakeSet::Orc(make) => {
             let base = orcgc::domain_stats();
-            let ledger = Ledger::open();
-            let pool_base = pool::snapshot();
             let r;
             {
                 let set = make();
                 r = body(&set);
             }
-            settle_orc(&ledger, &label);
-            assert_pool_drained(&pool_base, &label);
-            (r, orcgc::domain_stats().since(&base))
+            (r, settle_orc(&base, &label))
         }
-    }
+    };
+    assert_pool_drained(&pool_base, &label);
+    (r, stats)
 }
 
 /// Queue flavor of [`ledgered_set_cell`]. The runner drains the queue
@@ -555,14 +592,14 @@ pub fn ledgered_queue_cell<R>(
     cell: &QueueCell,
     body: impl FnOnce(&DynQueue) -> R,
 ) -> (R, StatsSnapshot) {
+    let _serial = exclusive();
     trace::install_flight_recorder();
     let label = cell.label();
-    match cell.make {
+    let pool_base = pool::snapshot();
+    let (r, stats) = match cell.make {
         MakeQueue::Manual(make) => {
             let kind = cell.scheme.manual().expect("manual cell");
             let smr = kind.build();
-            let ledger = Ledger::open();
-            let pool_base = pool::snapshot();
             let r;
             {
                 let q = make(smr.clone());
@@ -576,33 +613,27 @@ pub fn ledgered_queue_cell<R>(
                     );
                 }
             }
-            let stats = smr.stats();
-            drop(smr);
-            ledger.assert_balanced(&label);
-            assert_pool_drained(&pool_base, &label);
-            (r, stats)
+            (r, settle_manual(smr, &label))
         }
         MakeQueue::Orc(make) => {
             let base = orcgc::domain_stats();
-            let ledger = Ledger::open();
-            let pool_base = pool::snapshot();
             let r;
             {
                 let q = make();
                 r = body(&q);
                 while q.dequeue().is_some() {}
             }
-            settle_orc(&ledger, &label);
-            assert_pool_drained(&pool_base, &label);
-            (r, orcgc::domain_stats().since(&base))
+            (r, settle_orc(&base, &label))
         }
-    }
+    };
+    assert_pool_drained(&pool_base, &label);
+    (r, stats)
 }
 
 /// Asserts the pool drained over a ledgered section: every slot handed
 /// out during the cell came back (so teardown returns every page's live
 /// slots to the free lists — slots parked there stay pool capacity, not
-/// leaks). Runs inside the ledger lock, so the delta is attributable to
+/// leaks). Runs under [`exclusive`], so the delta is attributable to
 /// this cell alone.
 fn assert_pool_drained(base: &pool::PoolSnapshot, label: &str) {
     let d = pool::snapshot().since(base);
@@ -618,15 +649,34 @@ fn assert_pool_drained(base: &pool::PoolSnapshot, label: &str) {
     );
 }
 
-fn settle_orc(ledger: &Ledger, label: &str) {
+/// Manual-cell teardown once the structure has dropped: assert the
+/// instance's ledger balanced, then drop the last scheme handle (the
+/// leaky baseline frees its stash here). Returns the instance's stats.
+fn settle_manual(smr: reclaim::AnySmr, label: &str) -> StatsSnapshot {
+    let stats = smr.stats();
+    assert_balanced(label, &stats, smr.unreclaimed() as u64);
+    drop(smr);
+    stats
+}
+
+/// OrcGC-cell teardown: flush this thread's handover slots until the
+/// domain's ledger delta over the cell settles balanced (worker threads'
+/// exit hooks may still be draining theirs); returns the delta.
+fn settle_orc(base: &StatsSnapshot, label: &str) -> StatsSnapshot {
+    let balanced = |d: &StatsSnapshot| {
+        d.retires == d.reclaims && d.allocs == d.frees && d.alloc_bytes == d.free_bytes
+    };
+    let mut d = orcgc::domain_stats().since(base);
     for _ in 0..400 {
-        if ledger.delta().is_balanced() {
+        if balanced(&d) {
             break;
         }
         orcgc::flush_thread();
         std::thread::yield_now();
+        d = orcgc::domain_stats().since(base);
     }
-    ledger.assert_balanced(label);
+    assert_balanced(label, &d, 0);
+    d
 }
 
 fn churn_set<T: ConcurrentSet<u64> + ?Sized>(set: &T, threads: usize, iters: u64, seed: u64) {

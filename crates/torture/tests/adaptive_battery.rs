@@ -8,17 +8,21 @@
 //!    throughput is within 10% of EBR's (best-of-N interleaved trials).
 //! 3. **Flap-resistant** — cycles of stall-driven pressure and quiet
 //!    drain move the controller Era→Pointer→Era exactly once per phase:
-//!    the switch count is bounded by the cycle count, the leak ledger
-//!    stays balanced, and the allocation pool drains to zero live slots.
+//!    the switch count is bounded by the cycle count, the instance's
+//!    ledger stays balanced, and the allocation pool drains to zero live
+//!    slots.
+//!
+//! Tests that allocate directly hold `torture::exclusive()`: the pool is
+//! process-wide, and the flap test's pool check must see only its own
+//! slots (the stall runs take the lock inside `stall_cell`).
 
 use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::pool;
 use orc_util::stall::{self, Gate, StallPoint};
-use orc_util::track::Ledger;
 use reclaim::{Adaptive, AdaptiveConfig, AdaptiveMode, Ebr, SchemeKind, Smr};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use torture::{assert_bounded, drain, stall_cell, Config};
+use torture::{assert_balanced, assert_bounded, drain, exclusive, stall_cell, Config};
 
 const WRITERS: usize = 2;
 
@@ -29,7 +33,6 @@ const WRITERS: usize = 2;
 #[test]
 fn adaptive_residue_is_bounded_under_a_stalled_reader() {
     let rounds = Config::short().stall_rounds;
-    let ledger = Ledger::open();
     let adaptive = stall_cell(SchemeKind::Adaptive, WRITERS, rounds);
     assert_bounded(&adaptive, WRITERS);
     let ebr = stall_cell(SchemeKind::Ebr, WRITERS, rounds);
@@ -39,7 +42,6 @@ fn adaptive_residue_is_bounded_under_a_stalled_reader() {
         adaptive.stalled_flush_unreclaimed,
         ebr.stalled_flush_unreclaimed,
     );
-    ledger.assert_balanced("adaptive/stall-contrast");
 }
 
 /// Shared links in the healthy-churn trial. Wide enough that a reader's
@@ -106,7 +108,7 @@ fn healthy_trial<S: Smr + Clone>(smr: &S, iters: u64) -> Duration {
 fn adaptive_healthy_throughput_is_within_ten_percent_of_ebr() {
     const TRIALS: usize = 5;
     const ITERS: u64 = 30_000;
-    let ledger = Ledger::open();
+    let _serial = exclusive();
     let adaptive = Adaptive::new();
     let ebr = Ebr::new();
     // Warm-up: fault in per-thread state on both sides before timing.
@@ -139,17 +141,24 @@ fn adaptive_healthy_throughput_is_within_ten_percent_of_ebr() {
         best_a,
         best_e,
     );
-    drop(adaptive);
-    drop(ebr);
-    ledger.assert_balanced("adaptive/healthy-throughput");
+    assert_balanced(
+        "adaptive/healthy-throughput",
+        &adaptive.stats(),
+        adaptive.unreclaimed() as u64,
+    );
+    assert_balanced(
+        "ebr/healthy-throughput",
+        &ebr.stats(),
+        ebr.unreclaimed() as u64,
+    );
 }
 
 /// Flap resistance plus the pool-drain assertion: each pressure cycle
 /// (stalled reader + unflushed churn past the watermark, then release and
 /// quiet flushing) must move the controller Era→Pointer exactly once and
 /// back exactly once — never oscillating inside a phase — and the whole
-/// run must leave the leak ledger balanced and the slab pool with zero
-/// live slots.
+/// run must leave the instance's ledger balanced and the slab pool with
+/// zero live slots.
 #[test]
 fn controller_does_not_flap_under_cycling_stalls() {
     const CYCLES: usize = 3;
@@ -161,7 +170,7 @@ fn controller_does_not_flap_under_cycling_stalls() {
         low: 16,
         window: 64,
     };
-    let ledger = Ledger::open();
+    let _serial = exclusive();
     let pool_base = pool::snapshot();
     {
         let smr = Adaptive::with_threshold_and_config(512, cfg);
@@ -255,8 +264,8 @@ fn controller_does_not_flap_under_cycling_stalls() {
         let last = shared.load(Ordering::SeqCst);
         // SAFETY: quiescent — every worker joined; freed exactly once.
         unsafe { smr.dealloc_now(last as *mut u64) };
+        assert_balanced("adaptive/flap", &smr.stats(), smr.unreclaimed() as u64);
     }
-    ledger.assert_balanced("adaptive/flap");
     // Satellite: the adaptive arm must hand every pool slot back.
     let d = pool::snapshot().since(&pool_base);
     assert_eq!(

@@ -1,14 +1,14 @@
 //! Leak-ledger battery: every cell of the (scheme × structure) registry
-//! matrix must end a churn with allocations == frees after `flush()` +
-//! drop — the six manual schemes on every registered structure, plus
-//! every OrcGC-annotated variant (whose reclamation is driven by the
-//! process-global domain).
+//! matrix must end a churn balanced on its own ledger after `flush()` +
+//! the structure's drop — `allocs − frees == retires − reclaims ==
+//! unreclaimed()` — the manual schemes on every registered structure
+//! (against the instance's ledger), plus every OrcGC-annotated variant
+//! (against the delta of the process-global domain's ledger).
 //!
 //! The matrix comes from [`MatrixFilter::full`], so a structure or scheme
 //! added to the registry is leak-tested here with no edit to this file.
-//! Ledgered sections serialize (the ledger is process-global), so the
-//! per-process allocation counters can't be polluted by a
-//! concurrently-running test in this binary.
+//! The ledger counters are always on, so this battery holds with
+//! `ORC_STATS=0` too (CI runs it both ways).
 
 use structures::registry::MatrixFilter;
 use torture::{churn_queue_cell, churn_set_cell, Config};

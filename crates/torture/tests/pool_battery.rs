@@ -10,7 +10,7 @@
 //!   cannot pass;
 //! * **teardown drains every page** — `ledgered_set_cell` /
 //!   `ledgered_queue_cell` assert `live_slots == 0` over every cell
-//!   (inside the ledger lock), so a slot that never returned to a free
+//!   (under `torture::exclusive`), so a slot that never returned to a free
 //!   list fails the exact cell that leaked it. The ABA hammer doubles as
 //!   the recycling stress: an 8-key universe means every node address is
 //!   freed and re-issued from the pool constantly.
@@ -58,7 +58,7 @@ fn aba_hammer_recycles_through_the_pool() {
     let d = pool::snapshot().since(&before);
     if pool::enabled() {
         // Per-cell balance (`live_slots == 0`) is asserted inside the
-        // ledgered helpers, under the ledger lock; here just prove the
+        // ledgered helpers, under `torture::exclusive`; here just prove the
         // hammer actually flowed through the pool. (A battery-wide
         // equality would race against the other tests in this binary.)
         assert!(d.slot_allocs > 0, "no pooled traffic: {d:?}");

@@ -3,13 +3,14 @@
 //!
 //! Two complementary measurements:
 //!
-//! * **Exact tracked bytes** — every scheme in this workspace reports its
-//!   allocations to [`orc_util::track`], so live-object/byte deltas are
-//!   precise and allocator-independent (what the paper *means*).
+//! * **Exact tracked bytes** — the OrcGC domain's ledger counts every
+//!   `make_orc` allocation and free with its slot bytes. The probe reads
+//!   the calling thread's shard ([`orcgc::thread_stats`]): the mem-skip
+//!   waves run on one thread, so the shard's deltas are exactly the
+//!   experiment's, precise and allocator-independent (what the paper
+//!   *means*), whatever else the process runs.
 //! * **Process RSS** — read from `/proc/self/statm` (what the paper
 //!   *measured*); noisy but included for fidelity.
-
-use orc_util::track;
 
 /// Resident set size in bytes, or 0 when `/proc` is unavailable.
 pub fn rss_bytes() -> u64 {
@@ -51,10 +52,10 @@ pub struct MemSnapshot {
 }
 
 pub fn snapshot() -> MemSnapshot {
-    let s = track::global().snapshot();
+    let s = orcgc::thread_stats();
     MemSnapshot {
-        live_objects: s.live_objects,
-        live_bytes: s.live_bytes,
+        live_objects: s.live_objects(),
+        live_bytes: s.live_bytes(),
         rss: rss_bytes(),
     }
 }

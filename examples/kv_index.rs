@@ -55,14 +55,14 @@ fn main() {
     let start = Instant::now();
     for second in 1..=3 {
         std::thread::sleep(Duration::from_millis(500));
-        let snap = orc_util::track::global().snapshot();
+        let snap = orcgc::domain_stats();
         println!(
             "t={:.1}s  reads={}  writes={}  live-objects={}  unreclaimed={}",
             start.elapsed().as_secs_f64(),
             reads.load(Ordering::Relaxed),
             writes.load(Ordering::Relaxed),
-            snap.live_objects,
-            snap.unreclaimed,
+            snap.live_objects(),
+            orcgc::domain().unreclaimed(),
         );
         let _ = second;
     }

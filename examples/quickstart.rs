@@ -67,9 +67,11 @@ fn main() {
     drop(queue);
     drop(set);
     orcgc::flush_thread();
-    let stats = orc_util::track::global().snapshot();
+    let stats = orcgc::domain_stats();
     println!(
-        "tracker: {} allocations, {} frees, {} live tracked objects",
-        stats.total_allocs, stats.total_frees, stats.live_objects
+        "ledger: {} allocations, {} frees, {} live tracked objects",
+        stats.allocs,
+        stats.frees,
+        stats.live_objects()
     );
 }

@@ -1,21 +1,21 @@
 //! Teardown discipline, per (scheme × structure) cell: after a churn,
 //! `flush()` must drive `unreclaimed()` to exactly 0 (the leaky
-//! baseline: only at drop), and dropping the structure + the last scheme
-//! handle must return every allocation — verified against the global
-//! allocation ledger.
+//! baseline: only at drop), and dropping the structure must return every
+//! allocation that is not retired-and-unfreed — verified against the
+//! scheme instance's own ledger: `allocs − frees == unreclaimed()`.
+//! (The leaky baseline's stash freed by the last handle's drop is
+//! covered by `reclaim`'s `leaky::teardown_frees_the_leak`.)
 //!
 //! Sweeps every manual scheme over every registered generic set, so a
 //! new scheme or structure is teardown-tested by registration alone; the
 //! failure message names the cell directly.
 
-use orc_util::track::Ledger;
 use orcgc_suite::prelude::*;
 use structures::registry::SETS;
 
 /// Churn that forces real retire traffic: insert, delete, re-insert.
 fn churn(kind: SchemeKind, entry: &structures::registry::SetEntry) {
     let label = format!("{kind}/{}", entry.name);
-    let ledger = Ledger::open();
     let smr = kind.build();
     {
         let set = (entry.make)(smr.clone());
@@ -44,8 +44,16 @@ fn churn(kind: SchemeKind, entry: &structures::registry::SetEntry) {
             assert!(smr.unreclaimed() >= 3 * 256, "{label}");
         }
     }
-    drop(smr);
-    ledger.assert_balanced(&label);
+    let s = smr.stats();
+    let unreclaimed = smr.unreclaimed() as i64;
+    assert!(
+        s.live_objects() == unreclaimed && (unreclaimed != 0 || s.live_bytes() == 0),
+        "{label}: ledger unbalanced — {} allocs vs {} frees ({:+} live bytes), \
+         {unreclaimed} unreclaimed",
+        s.allocs,
+        s.frees,
+        s.live_bytes(),
+    );
 }
 
 #[test]
