@@ -9,6 +9,19 @@
 //! slot); user-visible [`OrcPtr`](crate::OrcPtr) guards always occupy
 //! indices ≥ 1.
 //!
+//! Accounting writes only the caller's own ledger shard
+//! ([`SchemeStats`]): every BRETIRED claim, relinquished claim and
+//! deletion is an owner-only store on the claimant's or deleter's shard,
+//! and [`Domain::unreclaimed`] is *derived* as Σ(retires − reclaims)
+//! over the registered tids. With `ORC_STATS` on, the peak watermark
+//! takes that sum every [`PEAK_FOLD_STRIDE`] retires per shard and at
+//! every snapshot. So the steady-state path writes no shared word beyond
+//! the protocol's own (hazard slots, handover entries, `_orc` counters),
+//! and the domain's read-mostly fields (`tl`, `max_hps`, the ledger's
+//! pointers) never share a cache line with a word written per operation.
+//!
+//! [`PEAK_FOLD_STRIDE`]: orc_util::stats::PEAK_FOLD_STRIDE
+//!
 //! Deviations from the C++ listing, with rationale:
 //!
 //! * `clear` (Algorithm 5, lines 80–90) additionally **drains the handover
@@ -22,7 +35,7 @@
 
 use crate::header::OrcHeader;
 use crate::word::{is_zero_retired, is_zero_unclaimed, BRETIRED, SEQ};
-use orc_util::atomics::{AtomicU64, AtomicUsize, Ordering};
+use orc_util::atomics::{AtomicUsize, Ordering};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
 use orc_util::trace::{self, EventKind};
 use orc_util::{chk_hooks, registry, trace_event_at, CachePadded};
@@ -73,11 +86,10 @@ impl TlInfo {
 pub struct Domain {
     pub(crate) tl: Box<[CachePadded<TlInfo>]>,
     /// Watermark of the highest slot index ever used, bounding scans.
+    /// Written only while the watermark grows, so read-mostly.
     pub(crate) max_hps: AtomicUsize,
-    /// Objects claimed-retired but not yet deleted.
-    retired_now: AtomicU64,
     /// The domain's ledger and telemetry (orc-stats); see
-    /// [`Domain::stats`].
+    /// [`Domain::stats`]. Also the source of [`Domain::unreclaimed`].
     stats: SchemeStats,
 }
 
@@ -94,7 +106,6 @@ impl Domain {
                 .map(|_| CachePadded::new(TlInfo::new()))
                 .collect(),
             max_hps: AtomicUsize::new(1),
-            retired_now: AtomicU64::new(0),
             stats: SchemeStats::new(),
         }
     }
@@ -126,9 +137,7 @@ impl Domain {
             h as usize,
             trace::next_retire_seq(tid)
         );
-        let now = self.retired_now.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.bump(tid, Event::Retire);
-        self.stats.note_unreclaimed(now);
+        self.stats.on_retire(tid);
     }
 
     /// A claim relinquished without deletion (`clearBitRetired` found the
@@ -143,7 +152,6 @@ impl Domain {
             unsafe { &(*h).retire_ns }.store(0, Ordering::Relaxed);
         }
         trace_event_at!(tid, EventKind::Unretire, h as usize);
-        self.retired_now.fetch_sub(1, Ordering::Relaxed);
         self.stats.bump(tid, Event::Reclaim);
     }
 
@@ -151,7 +159,6 @@ impl Domain {
     #[inline]
     fn note_destroyed(&self, tid: usize, bytes: usize) {
         self.stats.on_free(tid, bytes);
-        self.retired_now.fetch_sub(1, Ordering::Relaxed);
         self.stats.bump(tid, Event::Reclaim);
     }
 
@@ -166,9 +173,13 @@ impl Domain {
         self.stats.thread_snapshot(tid)
     }
 
-    /// Objects currently claimed-retired but not yet deleted.
+    /// Objects currently claimed-retired but not yet deleted, derived
+    /// from the ledger: Σ(retires − reclaims) over every registered tid's
+    /// shard ([`SchemeStats::unreclaimed`]). O(registered threads) per
+    /// call, exact at quiescence; the retire path itself writes no shared
+    /// gauge.
     pub fn unreclaimed(&self) -> u64 {
-        self.retired_now.load(Ordering::Relaxed)
+        self.stats.unreclaimed()
     }
 
     // ---- slot management (Algorithm 6) --------------------------------
@@ -625,6 +636,38 @@ mod tests {
         assert!(d.max_hps.load(Ordering::SeqCst) > max);
         for idx in idxs {
             d.clear(tid, idx, 0);
+        }
+    }
+
+    #[test]
+    fn read_mostly_fields_share_no_line_with_the_ledger() {
+        use std::mem::{offset_of, size_of};
+        // Lines of `CachePadded`'s 128-byte stride touched by a field.
+        let lines = |off: usize, len: usize| off / 128..=(off + len - 1) / 128;
+        // Every word of the domain written per operation lives in the
+        // ledger: its shards are heap rows of their own and its shared
+        // watermarks are padded lines inside `SchemeStats` (pinned by
+        // orc-util's `shared_words_own_their_lines`). So the ledger must
+        // start a line, and no read-mostly field may reach into it.
+        assert_eq!(align_of::<SchemeStats>(), 128);
+        let stats = offset_of!(Domain, stats);
+        let ledger = lines(stats, size_of::<SchemeStats>());
+        for (name, off, len) in [
+            (
+                "tl",
+                offset_of!(Domain, tl),
+                size_of::<Box<[CachePadded<TlInfo>]>>(),
+            ),
+            (
+                "max_hps",
+                offset_of!(Domain, max_hps),
+                size_of::<AtomicUsize>(),
+            ),
+        ] {
+            assert!(
+                lines(off, len).all(|l| !ledger.contains(&l)),
+                "Domain::{name} shares a cache line with the ledger"
+            );
         }
     }
 

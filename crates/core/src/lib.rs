@@ -135,7 +135,9 @@ pub fn flush_thread() {
 /// counted — plus the batch-size histogram, the retire→reclaim latency
 /// histogram (`delay_p50()`/`delay_p99()`/`max_delay_ns`, stamped at the
 /// BRETIRED claim and measured at the actual deletion) and the peak of
-/// [`Domain::unreclaimed`], which are zero when `ORC_STATS=0`.
+/// [`Domain::unreclaimed`] (sampled every
+/// [`PEAK_FOLD_STRIDE`](orc_util::stats::PEAK_FOLD_STRIDE) retires per
+/// thread and at each snapshot), which are zero when `ORC_STATS=0`.
 ///
 /// The domain also emits orc-trace events (`orc_util::trace`) for every
 /// claim transition: `OrcZero`, `BRetired`, `Unretire`, plus the shared

@@ -8,17 +8,31 @@
 //! feeds:
 //!
 //! * **per-thread sharded counters** — one cache-line-padded slot per
-//!   registry tid (the same dense-tid layout the hazard arrays use), so
-//!   the hot-path cost of an event is a single relaxed add with no
-//!   cross-thread contention. They include the object lifecycle —
-//!   allocs, frees and their slot bytes — which makes [`SchemeStats`]
-//!   the one accounting spine of a scheme instance (or the OrcGC
-//!   domain): live objects and bytes are *derived* at snapshot time;
+//!   registry tid (the same dense-tid layout the hazard arrays use). Only
+//!   the owning tid ever writes its shard, so the hot-path cost of an
+//!   event is a relaxed load and a relaxed store to the caller's own
+//!   line: no `lock`-prefixed RMW, no cross-thread contention. They
+//!   include the object lifecycle — allocs, frees and their slot bytes —
+//!   which makes [`SchemeStats`] the one accounting spine of a scheme
+//!   instance (or the OrcGC domain): live objects and bytes, and for the
+//!   OrcGC domain the `unreclaimed` gauge itself
+//!   ([`SchemeStats::unreclaimed`]), are *derived* from the shards;
 //! * **power-of-two histograms** of reclamation batch sizes — whether a
 //!   scheme frees in dribbles (PTP: batch = 1) or avalanches (EBR: whole
 //!   limbo bins) is exactly what separates their latency profiles;
-//! * a **peak-unreclaimed watermark** (`fetch_max`), the number the
-//!   paper's Table 1 bounds.
+//! * a **peak-unreclaimed watermark** (`fetch_max` on its own padded
+//!   line, taken only when the value rises), the number the paper's
+//!   Table 1 bounds.
+//!
+//! # Single writer
+//!
+//! Every writer passes its own registry tid (`debug_assert`ed), so a
+//! shard has one writer at a time and a count is `load` + `store`, not
+//! `fetch_add`. A tid passes to a new thread only through the registry's
+//! `USED` flag (released by the exiting thread's `Release` store,
+//! claimed by the next thread's `AcqRel` CAS), so the new owner starts
+//! from the old owner's last store. Readers on other threads see each
+//! counter move monotonically.
 //!
 //! Aggregation ([`SchemeStats::snapshot`]) sums the shards into a plain
 //! [`StatsSnapshot`] — the uniform currency returned by `Smr::stats()`
@@ -32,16 +46,18 @@
 //! and are always on. Setting `ORC_STATS=0` (or `false`/`off`) in the
 //! environment disables only the parts that need a clock read or a
 //! shared RMW: the batch and delay histograms, retire stamps, and the
-//! peak watermark. The first check latches the flag into a static, after
-//! which each gated call is a single relaxed load and a
-//! predicted-not-taken branch; an instance built with the switch off
-//! never allocates its histograms, so its per-tid footprint is the one
-//! padded line of counters. Everything is **on** by default.
+//! peak watermark (and with it the periodic fold of a derived gauge into
+//! the peak, see [`SchemeStats::on_retire`]). The first check latches the
+//! flag into a static, after which each gated call is a single relaxed
+//! load and a predicted-not-taken branch; an instance built with the
+//! switch off never allocates its histograms, so its per-tid footprint is
+//! the one padded line of counters. Everything is **on** by default.
 //!
 //! # Exactness contract
 //!
 //! Schemes pair every `unreclaimed += 1` with [`Event::Retire`] and every
-//! `unreclaimed -= 1` with [`Event::Reclaim`], and count every tracked
+//! `unreclaimed -= 1` with [`Event::Reclaim`] (an instance with a derived
+//! gauge gets this by construction), and count every tracked
 //! allocation and free of the objects they own, so at quiescence (no
 //! in-flight operations) the invariants
 //! `retires − reclaims == unreclaimed()` and
@@ -106,6 +122,39 @@ pub enum Event {
 
 const EVENTS: usize = 10;
 
+/// Retires on one shard between two folds of a derived gauge into the
+/// peak watermark (see [`SchemeStats::on_retire`]).
+pub const PEAK_FOLD_STRIDE: u64 = 64;
+
+/// Adds `n` to a counter that only the calling thread writes: a relaxed
+/// load and store, no `lock`-prefixed RMW. Returns the new value.
+#[inline]
+fn owner_add(c: &AtomicU64, n: u64) -> u64 {
+    let v = c.load(Ordering::Relaxed) + n;
+    c.store(v, Ordering::Relaxed);
+    v
+}
+
+/// Checks (in debug builds) the single-writer precondition of every
+/// shard write: `tid` is the caller's own registry tid.
+#[inline]
+fn debug_assert_owner(tid: usize) {
+    debug_assert_eq!(
+        tid,
+        registry::tid(),
+        "ledger shard written by a foreign tid"
+    );
+}
+
+/// Raises a shared watermark to `v`, writing its line only when `v` is
+/// above the value already there.
+#[inline]
+fn raise(w: &AtomicU64, v: u64) {
+    if v > w.load(Ordering::Relaxed) {
+        w.fetch_max(v, Ordering::Relaxed);
+    }
+}
+
 /// Per-tid ledger counters ([`Event`]-indexed). Padded so adjacent tids
 /// never share a cache line.
 struct Shard {
@@ -165,16 +214,21 @@ impl Hists {
 
 /// Sharded telemetry counters for one scheme instance (or the OrcGC
 /// domain). See the module docs for layout and cost.
+///
+/// The two shared words written in steady state with stats on sit on
+/// lines of their own, so they never share one with the read-mostly
+/// `shards`/`hists` pointers (or with an owner's fields around an inline
+/// `SchemeStats`, such as the OrcGC domain's row table).
 pub struct SchemeStats {
     shards: Box<[CachePadded<Shard>]>,
     /// Per-tid histograms; allocated only when [`enabled`] (1.6 KB per
     /// tid that an `ORC_STATS=0` run never touches).
     hists: Option<Box<[CachePadded<Hists>]>>,
     /// Process-wide high-water mark of the owner's `unreclaimed` gauge.
-    peak_unreclaimed: AtomicU64,
+    peak_unreclaimed: CachePadded<AtomicU64>,
     /// Longest retire→reclaim delay observed, exactly (the histogram only
     /// bounds it to a sub-bucket).
-    max_delay_ns: AtomicU64,
+    max_delay_ns: CachePadded<AtomicU64>,
 }
 
 impl SchemeStats {
@@ -188,25 +242,41 @@ impl SchemeStats {
                     .map(|_| CachePadded::new(Hists::new()))
                     .collect()
             }),
-            peak_unreclaimed: AtomicU64::new(0),
-            max_delay_ns: AtomicU64::new(0),
+            peak_unreclaimed: CachePadded::new(AtomicU64::new(0)),
+            max_delay_ns: CachePadded::new(AtomicU64::new(0)),
         }
+    }
+
+    /// The shards a tid has ever been handed out for; the rest were never
+    /// written.
+    fn live_shards(&self) -> &[CachePadded<Shard>] {
+        &self.shards[..registry::registered_watermark().min(self.shards.len())]
+    }
+
+    /// The caller's own counter for `ev`. `tid` must be the caller's
+    /// registry tid — the single-writer precondition of every ledger
+    /// write.
+    #[inline]
+    fn own(&self, tid: usize, ev: Event) -> &AtomicU64 {
+        debug_assert_owner(tid);
+        &self.shards[tid].counters[ev as usize]
     }
 
     /// Records one `ev` on the calling thread's shard (`tid` must be the
     /// caller's registry tid — every scheme hot path already has it).
-    /// Always on: the counters are the ledger.
+    /// Always on: the counters are the ledger. An owner-only relaxed
+    /// load and store, not an atomic add (see the module docs).
     #[inline]
     pub fn bump(&self, tid: usize, ev: Event) {
-        self.shards[tid].counters[ev as usize].fetch_add(1, Ordering::Relaxed);
+        owner_add(self.own(tid, ev), 1);
     }
 
     /// Records `n` occurrences of `ev` at once (scan loops count locally
-    /// and publish a single add).
+    /// and publish a single store). Same contract as [`Self::bump`].
     #[inline]
     pub fn add(&self, tid: usize, ev: Event, n: u64) {
         if n != 0 {
-            self.shards[tid].counters[ev as usize].fetch_add(n, Ordering::Relaxed);
+            owner_add(self.own(tid, ev), n);
         }
     }
 
@@ -224,10 +294,38 @@ impl SchemeStats {
         self.add(tid, Event::FreeBytes, bytes as u64);
     }
 
+    /// Records one retire on an instance whose `unreclaimed` gauge is
+    /// derived from the shards ([`Self::unreclaimed`]) rather than kept
+    /// in a shared word. With stats on, every [`PEAK_FOLD_STRIDE`]th
+    /// retire on the shard folds the derived gauge into the peak, so the
+    /// watermark costs one O(threads) sum per stride instead of per
+    /// retire; [`Self::snapshot`] folds it once more.
+    #[inline]
+    pub fn on_retire(&self, tid: usize) {
+        let n = owner_add(self.own(tid, Event::Retire), 1);
+        if n % PEAK_FOLD_STRIDE == 0 && enabled() {
+            self.note_unreclaimed(self.unreclaimed());
+        }
+    }
+
     /// Sum of one event counter over every shard — a cheaper read than a
     /// full [`snapshot`](Self::snapshot) when a caller needs one number.
     pub fn total(&self, ev: Event) -> u64 {
-        self.shards.iter().map(|s| s.count(ev)).sum()
+        self.live_shards().iter().map(|s| s.count(ev)).sum()
+    }
+
+    /// The derived `unreclaimed` gauge: Σ(`Retire` − `Reclaim`) over the
+    /// shards of every registered tid, saturating at 0. One thread may
+    /// retire what another reclaims, so a single shard's difference can
+    /// be negative; only the sum means anything. Retires are summed
+    /// before reclaims, so a read racing with churn leans toward
+    /// undercounting the backlog rather than inventing one. Exact at
+    /// quiescence, like every other ledger read.
+    pub fn unreclaimed(&self) -> u64 {
+        let shards = self.live_shards();
+        let retires: u64 = shards.iter().map(|s| s.count(Event::Retire)).sum();
+        let reclaims: u64 = shards.iter().map(|s| s.count(Event::Reclaim)).sum();
+        retires.saturating_sub(reclaims)
     }
 
     /// Records one reclamation batch of `n` objects freed together.
@@ -235,7 +333,8 @@ impl SchemeStats {
     pub fn batch(&self, tid: usize, n: u64) {
         match &self.hists {
             Some(h) if n != 0 => {
-                h[tid].batch[bucket_of(n)].fetch_add(1, Ordering::Relaxed);
+                debug_assert_owner(tid);
+                owner_add(&h[tid].batch[bucket_of(n)], 1);
             }
             _ => {}
         }
@@ -246,7 +345,7 @@ impl SchemeStats {
     #[inline]
     pub fn note_unreclaimed(&self, now: u64) {
         if enabled() {
-            self.peak_unreclaimed.fetch_max(now, Ordering::Relaxed);
+            raise(&self.peak_unreclaimed, now);
         }
     }
 
@@ -255,8 +354,9 @@ impl SchemeStats {
     #[inline]
     pub fn reclaim_delay(&self, tid: usize, ns: u64) {
         if let Some(h) = &self.hists {
-            h[tid].delay[delay_bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-            self.max_delay_ns.fetch_max(ns, Ordering::Relaxed);
+            debug_assert_owner(tid);
+            owner_add(&h[tid].delay[delay_bucket_of(ns)], 1);
+            raise(&self.max_delay_ns, ns);
         }
     }
 
@@ -264,15 +364,18 @@ impl SchemeStats {
     ///
     /// Counters are relaxed, so a snapshot taken during churn is
     /// approximate (each individual counter is exact-eventually); at
-    /// quiescence it is exact.
+    /// quiescence it is exact. With stats on, the snapshot's own
+    /// `outstanding()` is folded into the peak first, so
+    /// `peak_unreclaimed >= outstanding()` holds in every snapshot.
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut s = StatsSnapshot::default();
-        for shard in self.shards.iter() {
+        for shard in self.live_shards() {
             shard.fold_into(&mut s);
         }
         for h in self.hists.iter().flat_map(|h| h.iter()) {
             h.fold_into(&mut s);
         }
+        self.note_unreclaimed(s.outstanding());
         s.peak_unreclaimed = self.peak_unreclaimed.load(Ordering::Relaxed);
         s.max_delay_ns = self.max_delay_ns.load(Ordering::Relaxed);
         s
@@ -789,6 +892,142 @@ mod tests {
         assert_eq!(snap.batches(), 1);
         assert_eq!(snap.batch_hist[1], 1, "batch of 3 lands in [2,4)");
         assert!((snap.mean_batch() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn owners_bump_while_a_reader_snapshots() {
+        const PER: u64 = 20_000;
+        let s = std::sync::Arc::new(SchemeStats::new());
+        let done = std::sync::Arc::new(AtomicU64::new(0));
+        let writers: Vec<_> = (0..4)
+            .map(|_| {
+                let (s, done) = (s.clone(), done.clone());
+                std::thread::spawn(move || {
+                    let tid = registry::tid();
+                    for i in 0..PER {
+                        s.bump(tid, Event::Retire);
+                        s.on_alloc(tid, 8);
+                        if i % 2 == 0 {
+                            s.add(tid, Event::Reclaim, 2);
+                        }
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                })
+            })
+            .collect();
+        let reader = {
+            let (s, done) = (s.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut last = s.snapshot();
+                let mut snaps = 0u64;
+                while done.load(Ordering::Acquire) < 4 || snaps == 0 {
+                    let now = s.snapshot();
+                    assert!(now.is_monotone_since(&last), "a counter went backwards");
+                    last = now;
+                    snaps += 1;
+                }
+            })
+        };
+        for w in writers {
+            w.join().unwrap();
+        }
+        reader.join().unwrap();
+        let end = s.snapshot();
+        assert_eq!((end.retires, end.reclaims), (4 * PER, 4 * PER));
+        assert_eq!((end.allocs, end.alloc_bytes), (4 * PER, 4 * PER * 8));
+        assert_eq!(s.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn derived_gauge_sums_signed_across_shards() {
+        let s = std::sync::Arc::new(SchemeStats::new());
+        let retire = |n: u64| {
+            let s = s.clone();
+            std::thread::spawn(move || (0..n).for_each(|_| s.on_retire(registry::tid())))
+                .join()
+                .unwrap()
+        };
+        let reclaim = |n: u64| {
+            let s = s.clone();
+            std::thread::spawn(move || s.add(registry::tid(), Event::Reclaim, n))
+                .join()
+                .unwrap()
+        };
+        // One thread retires, another reclaims: neither shard alone
+        // holds the gauge.
+        retire(10);
+        reclaim(7);
+        assert_eq!(s.unreclaimed(), 3);
+        assert_eq!(s.unreclaimed(), s.snapshot().outstanding());
+        // Mid-churn skew can read more reclaims than retires: clamp at 0.
+        reclaim(5);
+        assert_eq!(s.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn peak_folds_every_stride_and_at_snapshot() {
+        let s = SchemeStats::new();
+        let tid = registry::tid();
+        for _ in 1..PEAK_FOLD_STRIDE {
+            s.on_retire(tid);
+        }
+        let between = s.peak_unreclaimed.load(Ordering::Relaxed);
+        s.on_retire(tid);
+        let at_stride = s.peak_unreclaimed.load(Ordering::Relaxed);
+        s.on_retire(tid);
+        let snap = s.snapshot();
+        if enabled() {
+            assert_eq!(between, 0, "no O(threads) sum before the stride");
+            assert_eq!(at_stride, PEAK_FOLD_STRIDE);
+            assert_eq!(snap.peak_unreclaimed, PEAK_FOLD_STRIDE + 1);
+            assert!(snap.peak_unreclaimed >= snap.outstanding());
+            s.add(tid, Event::Reclaim, PEAK_FOLD_STRIDE + 1);
+            assert_eq!(s.snapshot().peak_unreclaimed, PEAK_FOLD_STRIDE + 1);
+        } else {
+            assert_eq!((at_stride, snap.peak_unreclaimed), (0, 0));
+        }
+    }
+
+    #[test]
+    fn shared_words_own_their_lines() {
+        use std::mem::{offset_of, size_of};
+        // Lines of `CachePadded`'s 128-byte stride touched by a field.
+        let lines = |off: usize, len: usize| off / 128..=(off + len - 1) / 128;
+        type Padded = CachePadded<AtomicU64>;
+        assert_eq!((size_of::<Padded>(), align_of::<Padded>()), (128, 128));
+        assert_eq!(align_of::<SchemeStats>(), 128);
+        let hot = [
+            offset_of!(SchemeStats, peak_unreclaimed),
+            offset_of!(SchemeStats, max_delay_ns),
+        ];
+        let cold = [
+            lines(
+                offset_of!(SchemeStats, shards),
+                size_of::<Box<[CachePadded<Shard>]>>(),
+            ),
+            lines(
+                offset_of!(SchemeStats, hists),
+                size_of::<Option<Box<[CachePadded<Hists>]>>>(),
+            ),
+        ];
+        for h in hot {
+            assert_eq!(h % 128, 0, "a padded word must start a line");
+            for c in &cold {
+                assert!(
+                    !c.contains(&(h / 128)),
+                    "read-mostly pointer shares a written line"
+                );
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "foreign tid")]
+    fn foreign_tid_writes_are_caught() {
+        let s = SchemeStats::new();
+        let other = (registry::tid() + 1) % registry::max_threads();
+        s.bump(other, Event::Retire);
     }
 
     #[test]

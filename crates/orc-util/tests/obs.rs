@@ -9,7 +9,7 @@
 
 use orc_util::obs::{self, AnnKind, OpKind, SeriesKind};
 use orc_util::stats::{Event, SchemeStats, StatsSnapshot};
-use orc_util::trace;
+use orc_util::{registry, trace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
 
@@ -84,16 +84,25 @@ fn concurrent_scrape_never_tears() {
             (x << 32) | x
         },
     ));
+    const READERS: u64 = 3;
     let stop = Arc::new(AtomicU64::new(0));
-    let readers: Vec<_> = (0..3)
+    // Each reader counts itself in here on its first sample, so the
+    // writer keeps sampling until every reader has actually raced it —
+    // however late the scheduler runs them.
+    let sighted = Arc::new(AtomicU64::new(0));
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let reg = Arc::clone(&reg);
             let stop = Arc::clone(&stop);
+            let sighted = Arc::clone(&sighted);
             std::thread::spawn(move || {
                 let mut seen = 0usize;
                 while stop.load(Ordering::Relaxed) == 0 {
                     for s in reg.series(SeriesKind::Unreclaimed) {
                         assert_eq!(s.v >> 32, s.v & 0xffff_ffff, "torn sample read: {:#x}", s.v);
+                        if seen == 0 {
+                            sighted.fetch_add(1, Ordering::Release);
+                        }
                         seen += 1;
                     }
                 }
@@ -101,8 +110,10 @@ fn concurrent_scrape_never_tears() {
             })
         })
         .collect();
-    for _ in 0..2000 {
+    let mut passes = 0u64;
+    while passes < 2000 || sighted.load(Ordering::Acquire) < READERS {
         obs::sample_now();
+        passes += 1;
     }
     stop.store(1, Ordering::Relaxed);
     for r in readers {
@@ -150,9 +161,10 @@ fn rate_series_derive_from_stats_deltas() {
     let stats = Arc::new(SchemeStats::new());
     let s = Arc::clone(&stats);
     let reg = obs::register("test/rates", move || s.snapshot(), || 0);
-    stats.add(0, Event::Retire, 100);
+    let tid = registry::tid();
+    stats.add(tid, Event::Retire, 100);
     obs::sample_now(); // first pass: rates undefined, reported as 0
-    stats.add(0, Event::Retire, 50);
+    stats.add(tid, Event::Retire, 50);
     obs::sample_now();
     let r = reg.series(SeriesKind::RetireRate);
     assert_eq!(r.len(), 2);
