@@ -87,6 +87,17 @@ impl Clone for Ebr {
 }
 
 impl Inner {
+    /// One advance attempt, then a free of `tid`'s two-epochs-stale bin.
+    ///
+    /// # Safety
+    /// `tid` must be the calling thread's own registry slot.
+    unsafe fn advance_and_collect(&self, tid: usize) {
+        let e = self.epoch.try_advance();
+        // SAFETY: owner-only collect on our own tid (this function's
+        // contract).
+        unsafe { self.limbo.collect(tid, e, &self.ledger) };
+    }
+
     fn thread_exit(&self, tid: usize) {
         self.epoch.unpin_sync(tid);
         // SAFETY: called by the exiting owner thread (exit hook), the only
@@ -117,10 +128,16 @@ impl Smr for Ebr {
         self.inner.epoch.pin(tid);
     }
 
-    /// Unpin.
+    /// Unpin, then run an advance attempt that fell due during the
+    /// operation.
     fn end_op(&self) {
         let tid = self.attach();
         self.inner.epoch.unpin(tid);
+        // SAFETY: `tid` is the calling thread's own slot.
+        if unsafe { self.inner.limbo.take_due(tid) } {
+            // SAFETY: as above.
+            unsafe { self.inner.advance_and_collect(tid) };
+        }
     }
 
     /// No per-pointer publication: epoch pinning already protects every
@@ -154,9 +171,17 @@ impl Smr for Ebr {
         unsafe { self.inner.limbo.push(tid, e, h) };
         // SAFETY: owner-only tick counter.
         if unsafe { self.inner.limbo.tick(tid, ADVANCE_FREQ) } {
-            let e = self.inner.epoch.try_advance();
-            // SAFETY: owner-only collect on our own tid.
-            unsafe { self.inner.limbo.collect(tid, e, &self.inner.ledger) };
+            if self.inner.epoch.is_pinned(tid) {
+                // Inside an operation: free after the unpin in `end_op`,
+                // so a large batch never holds the epoch back while it is
+                // being freed (the other threads would pile up garbage
+                // for as long as the free takes).
+                // SAFETY: owner-only mark on our own tid.
+                unsafe { self.inner.limbo.set_due(tid) };
+            } else {
+                // SAFETY: `tid` is the calling thread's own slot.
+                unsafe { self.inner.advance_and_collect(tid) };
+            }
         }
     }
 
@@ -166,9 +191,8 @@ impl Smr for Ebr {
         // Unpinned flush can advance up to three times, emptying all bins
         // if no other thread is pinned behind.
         for _ in 0..3 {
-            let e = self.inner.epoch.try_advance();
-            // SAFETY: owner-only collect on our own tid.
-            unsafe { self.inner.limbo.collect(tid, e, &self.inner.ledger) };
+            // SAFETY: `tid` is the calling thread's own slot.
+            unsafe { self.inner.advance_and_collect(tid) };
         }
     }
 
@@ -193,6 +217,31 @@ mod tests {
             unsafe { ebr.retire(p) };
         }
         assert!(ebr.unreclaimed() > 0);
+        ebr.flush();
+        assert_eq!(ebr.unreclaimed(), 0);
+    }
+
+    #[test]
+    fn advance_due_inside_an_op_runs_after_the_unpin() {
+        let ebr = Ebr::new();
+        let retire_batch = |ebr: &Ebr| {
+            for i in 0..ADVANCE_FREQ {
+                let p = ebr.alloc(i as u64);
+                // SAFETY: `p` came from this scheme's `alloc` and is
+                // retired exactly once.
+                unsafe { ebr.retire(p) };
+            }
+        };
+        ebr.begin_op();
+        retire_batch(&ebr);
+        assert_eq!(ebr.stats().scans, 0, "nothing is freed while pinned");
+        ebr.end_op();
+        assert_eq!(ebr.stats().scans, 1, "end_op runs the due attempt");
+        ebr.end_op();
+        assert_eq!(ebr.stats().scans, 1, "the mark is cleared");
+        // Outside an operation the attempt runs in the retire itself.
+        retire_batch(&ebr);
+        assert_eq!(ebr.stats().scans, 2);
         ebr.flush();
         assert_eq!(ebr.unreclaimed(), 0);
     }

@@ -272,6 +272,13 @@ impl EpochPin {
         self.local[tid].store(0, Ordering::Release);
     }
 
+    /// Whether `tid` is inside an operation. Only meaningful on `tid`'s
+    /// own thread, the slot's sole writer.
+    #[inline]
+    pub fn is_pinned(&self, tid: usize) -> bool {
+        self.local[tid].load(Ordering::Relaxed) != 0
+    }
+
     /// Unpin with full ordering — the thread-exit path.
     #[inline]
     pub fn unpin_sync(&self, tid: usize) {

@@ -328,12 +328,69 @@ impl ScanList {
     }
 }
 
+/// One limbo bin: a LIFO chain through `SmrHeader::next`. Parking a
+/// retiree writes one link and allocates nothing, and a drained bin
+/// keeps no buffer behind, so the memory a stalled pin costs is the
+/// retirees themselves.
+struct Bin {
+    head: *mut SmrHeader,
+}
+
+impl Default for Bin {
+    fn default() -> Self {
+        Self {
+            head: std::ptr::null_mut(),
+        }
+    }
+}
+
+impl Bin {
+    /// # Safety
+    /// `h` must be a live retired header whose ownership transfers to
+    /// the bin.
+    #[inline]
+    unsafe fn push(&mut self, h: *mut SmrHeader) {
+        // SAFETY: `h` is live and its link is ours alone (this function's
+        // contract): no other thread touches a limbo header's `next`.
+        unsafe { *(*h).next.get_mut() = self.head };
+        self.head = h;
+    }
+
+    /// Detaches the whole chain, leaving the bin empty.
+    fn drain(&mut self) -> Chain {
+        Chain(std::mem::replace(&mut self.head, std::ptr::null_mut()))
+    }
+}
+
+/// A detached limbo chain. Each header's link is read before the header
+/// is yielded, so the caller may free it at once.
+struct Chain(*mut SmrHeader);
+
+impl Iterator for Chain {
+    type Item = *mut SmrHeader;
+
+    #[inline]
+    fn next(&mut self) -> Option<*mut SmrHeader> {
+        let h = self.0;
+        if h.is_null() {
+            return None;
+        }
+        // SAFETY: every header on a detached chain is a live retiree owned
+        // by the drainer until it is yielded, which happens below.
+        self.0 = unsafe { *(*h).next.get_mut() };
+        Some(h)
+    }
+}
+
 /// Per-thread limbo state of a [`LimboBins`].
 #[derive(Default)]
 struct Bins {
     /// Three limbo bins, indexed by `epoch % 3`.
-    limbo: [Vec<*mut SmrHeader>; 3],
+    limbo: [Bin; 3],
     retires: usize,
+    /// An advance attempt fell due inside an operation and waits for its
+    /// end ([`LimboBins::take_due`]).
+    due: bool,
 }
 
 // SAFETY: the raw header pointers in the limbo bins are retired objects
@@ -367,7 +424,9 @@ impl LimboBins {
     pub unsafe fn push(&self, tid: usize, epoch: u64, h: *mut SmrHeader) {
         // SAFETY: owner-only access per this function's contract.
         let st = unsafe { self.threads.get_mut(tid) };
-        st.limbo[(epoch % 3) as usize].push(h);
+        // SAFETY: `h`'s ownership transfers to the bin (this function's
+        // contract).
+        unsafe { st.limbo[(epoch % 3) as usize].push(h) };
     }
 
     /// Bumps `tid`'s retire counter; true (and resets) every `freq`-th
@@ -388,6 +447,27 @@ impl LimboBins {
         }
     }
 
+    /// Marks an advance attempt as due at the end of `tid`'s current
+    /// operation.
+    ///
+    /// # Safety
+    /// `tid` must be the calling thread's own registry slot.
+    #[inline]
+    pub unsafe fn set_due(&self, tid: usize) {
+        // SAFETY: owner-only access per this function's contract.
+        unsafe { self.threads.get_mut(tid) }.due = true;
+    }
+
+    /// Whether an advance attempt is due; clears the mark.
+    ///
+    /// # Safety
+    /// `tid` must be the calling thread's own registry slot.
+    #[inline]
+    pub unsafe fn take_due(&self, tid: usize) -> bool {
+        // SAFETY: owner-only access per this function's contract.
+        std::mem::take(&mut unsafe { self.threads.get_mut(tid) }.due)
+    }
+
     /// Frees the limbo bin that is two epochs stale (adopting orphans
     /// into the current bin first).
     ///
@@ -402,14 +482,17 @@ impl LimboBins {
         // epoch, so conservatively treat them as retired now (they wait the
         // full two advances before being freed).
         for h in self.orphans.drain() {
-            st.limbo[(epoch % 3) as usize].push(h);
+            // SAFETY: draining the orphan stack made `h` exclusively ours;
+            // its ownership moves on to the bin.
+            unsafe { st.limbo[(epoch % 3) as usize].push(h) };
         }
-        let stale = &mut st.limbo[((epoch + 1) % 3) as usize];
         // Bin (e+1)%3 == (e-2)%3 holds objects retired at e-2: all threads
         // have since passed through at least one quiescent transition.
-        let n = stale.len();
+        let stale = st.limbo[((epoch + 1) % 3) as usize].drain();
+        let mut n = 0;
         let delay_now = ledger.delay_clock();
-        for h in stale.drain(..) {
+        for h in stale {
+            n += 1;
             // SAFETY: `h` was retired at least two epoch advances ago, so
             // every thread pinned at retire time has since unpinned — no
             // live reference can remain (Fraser's grace-period argument).
@@ -427,8 +510,9 @@ impl LimboBins {
     pub unsafe fn orphan_all(&self, tid: usize) {
         // SAFETY: owner-only access per this function's contract.
         let st = unsafe { self.threads.get_mut(tid) };
+        st.due = false;
         for bin in &mut st.limbo {
-            for h in bin.drain(..) {
+            for h in bin.drain() {
                 // SAFETY: `h` is a retired header drained from our own
                 // bin; pushing transfers its ownership to the orphan
                 // stack.
@@ -444,7 +528,7 @@ impl LimboBins {
             // SAFETY: `&mut self` is exclusive access to every row.
             let st = unsafe { self.threads.get_mut(tid) };
             for bin in &mut st.limbo {
-                for h in bin.drain(..) {
+                for h in bin.drain() {
                     // SAFETY: all users are gone; every retired object is
                     // now unreachable and destroyed exactly once.
                     unsafe { teardown_free(ledger, me, h) };
@@ -534,6 +618,31 @@ mod tests {
         assert_eq!(ScanList::new(5).threshold(), 5);
         let adaptive = ScanList::new(0).threshold();
         assert_eq!(adaptive, 2 * MAX_HPS * registry::registered_watermark() + 8);
+    }
+
+    #[test]
+    fn limbo_bin_chains_through_headers_and_drains_empty() {
+        let ledger = RetireLedger::new();
+        let tid = registry::tid();
+        let mut bin = Bin::default();
+        let hs: Vec<_> = (0..3u64)
+            // SAFETY: freshly allocated value pointers.
+            .map(|i| unsafe { SmrHeader::of_value(alloc_tracked(&ledger, tid, i, 0)) })
+            .collect();
+        for &h in &hs {
+            // SAFETY: each header is live and parked exactly once.
+            unsafe { bin.push(h) };
+        }
+        let drained: Vec<_> = bin.drain().collect();
+        assert_eq!(drained, hs.iter().rev().copied().collect::<Vec<_>>());
+        assert!(bin.head.is_null());
+        assert_eq!(bin.drain().count(), 0);
+        for h in drained {
+            // SAFETY: drained from the bin, never shared, freed once.
+            unsafe { teardown_free(&ledger, tid, h) };
+        }
+        let s = ledger.snapshot();
+        assert_eq!((s.allocs, s.frees), (3, 3));
     }
 
     #[test]

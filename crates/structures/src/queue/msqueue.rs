@@ -11,9 +11,15 @@ use crate::ConcurrentQueue;
 use orc_util::atomics::{AtomicPtr, Ordering};
 use reclaim::{as_word, Smr};
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 
 struct Node<T> {
-    item: UnsafeCell<Option<T>>,
+    /// Set by `enqueue`; moved out by the dequeuer whose head CAS makes
+    /// this node the sentinel, so a sentinel's item is never initialised.
+    /// Not an `Option`: for a `u64` item that would double the word and
+    /// move the tracked node from the pool's 64-byte slots to its 96-byte
+    /// ones.
+    item: UnsafeCell<MaybeUninit<T>>,
     next: AtomicPtr<Node<T>>,
 }
 
@@ -21,7 +27,7 @@ unsafe impl<T: Send> Sync for Node<T> {}
 unsafe impl<T: Send> Send for Node<T> {}
 
 impl<T> Node<T> {
-    fn new(item: Option<T>) -> Self {
+    fn new(item: MaybeUninit<T>) -> Self {
         Self {
             item: UnsafeCell::new(item),
             next: AtomicPtr::new(std::ptr::null_mut()),
@@ -41,7 +47,7 @@ unsafe impl<T: Send, S: Smr> Send for MsQueue<T, S> {}
 
 impl<T: Send, S: Smr> MsQueue<T, S> {
     pub fn new(smr: S) -> Self {
-        let sentinel = smr.alloc(Node::new(None));
+        let sentinel = smr.alloc(Node::new(MaybeUninit::uninit()));
         Self {
             head: AtomicPtr::new(sentinel),
             tail: AtomicPtr::new(sentinel),
@@ -55,7 +61,7 @@ impl<T: Send, S: Smr> MsQueue<T, S> {
     }
 
     pub fn enqueue(&self, item: T) {
-        let node = self.smr.alloc(Node::new(Some(item)));
+        let node = self.smr.alloc(Node::new(MaybeUninit::new(item)));
         self.smr.begin_op();
         loop {
             let ltail = self.smr.protect_ptr(0, &self.tail);
@@ -116,12 +122,13 @@ impl<T: Send, S: Smr> MsQueue<T, S> {
                 .is_ok()
             {
                 // SAFETY: we won the head CAS, so lnext is the new sentinel
-                // and its item is ours exclusively (still protected, slot 1).
-                let item = unsafe { (*(*lnext).item.get()).take() };
+                // and its item is ours exclusively (still protected, slot 1);
+                // it was initialised by its enqueue and is moved out once.
+                let item = unsafe { (*(*lnext).item.get()).assume_init_read() };
                 // SAFETY: the head CAS unlinked `lhead`; this thread is its
                 // unique unlinker, so it is retired exactly once.
                 unsafe { self.smr.retire(lhead) };
-                break item;
+                break Some(item);
             }
         };
         self.smr.end_op();
@@ -155,12 +162,19 @@ impl<T: Send, S: Smr> ConcurrentQueue<T> for MsQueue<T, S> {
 
 impl<T, S: Smr> Drop for MsQueue<T, S> {
     fn drop(&mut self) {
-        // Exclusive access: walk and free every node, sentinel included.
+        // Exclusive access: walk and free every node, sentinel included;
+        // every node after the sentinel still holds its item.
         let mut p = *self.head.get_mut();
+        let mut sentinel = true;
         while !p.is_null() {
             // SAFETY: `&mut self` in Drop gives exclusive access; every node
             // reachable from head is live.
             let next = unsafe { (*p).next.load(Ordering::Relaxed) };
+            if !std::mem::replace(&mut sentinel, false) {
+                // SAFETY: same exclusivity; a non-sentinel node's item was
+                // initialised by its enqueue and never dequeued.
+                unsafe { (*(*p).item.get()).assume_init_drop() };
+            }
             // SAFETY: same exclusivity — nothing else can free this node.
             unsafe { self.smr.dealloc_now(p) };
             p = next;
@@ -192,6 +206,18 @@ mod tests {
         for kind in SchemeKind::ALL {
             fifo_smoke(kind.build());
         }
+    }
+
+    #[test]
+    fn u64_nodes_fill_one_64_byte_slot() {
+        // 48-byte header + 16-byte node: the pool's smallest class (and
+        // the exact box size with the pool off). An `Option<u64>` item
+        // made it 72 bytes, in a 96-byte slot.
+        let q = MsQueue::new(SchemeKind::Hp.build());
+        q.enqueue(7u64);
+        let s = q.smr().stats();
+        assert_eq!((s.allocs, s.alloc_bytes), (2, 2 * 64), "sentinel + node");
+        assert_eq!(q.dequeue(), Some(7));
     }
 
     #[test]
